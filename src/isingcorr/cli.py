@@ -16,7 +16,7 @@ from . import __version__
 from .errors import IsingCorrError, NoConvergence
 from .expansions import correlation
 from .params import Kind, ModelParams, diagonal_from_alpha2, direct, from_couplings
-from .quadrature import DEFAULT_M, DEFAULT_M_MAX, make_grid
+from .quadrature import DEFAULT_M, DEFAULT_M_MAX, make_grid, refine_until
 from .verify import SUITE_NAMES, run_suite
 
 
@@ -214,7 +214,6 @@ def cmd_table(ns: argparse.Namespace) -> int:
                 return entry.value
 
             try:
-                from .quadrature import refine_until
                 value, est, M_used = refine_until(one, ns.tol, M_start=ns.M, M_max=ns.M_max)
             except NoConvergence as exc:
                 hit_cap = True
@@ -353,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         if known.config:
             values = _load_config(known.config)
             for sp in subparsers:
-                dests = {action.dest for action in sp._actions}
+                dests = vars(sp.parse_known_args([])[0])
                 sp.set_defaults(**{k: v for k, v in values.items() if k in dests})
         ns = parser.parse_args(argv)
         return ns.func(ns)

@@ -80,28 +80,30 @@ def _chain_weights(params: ModelParams, hat: bool):
 # ----------------------------------------------------------------------
 
 def F_2n(params: ModelParams, grid: ContourGrid, N: int, n: int, hat: bool = False) -> ExpansionTerm:
-    """Order-2n coefficient of the exponential expansion (closed chain)."""
+    """Order-2n coefficient of the exponential expansion: -tr(K^n)/n.
+
+    K is the chain kernel at separation N (build_kernel), whose n-th
+    power trace is the closed 2n-site chain.
+    """
     if n < 1:
         raise ValueError("closed chains start at n=1")
     _require_regime(params, Regime.ABOVE if hat else Regime.BELOW, "F_2n")
-    w_odd, w_even = _chain_weights(params, hat)
-    raw = -chain_integral(grid, N, w_odd, w_even, sites=2 * n, closed=True) / n
+    raw = -build_kernel(params, grid, N, hat=hat).trace_power(n) / n
     return _term(2 * n, N, raw, Method.CHAIN_QUADRATURE)
 
 
 def Ftilde_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
     """Telescoping increment: the closed chain carrying an extra (1 - prod z_k).
 
-    Realized as the difference of the plain chain at site powers N and
-    N+1, which telescopes back to the order-2n coefficient when summed
-    over separations.
+    Realized as the difference of the kernel power traces at separations
+    N and N+1, which telescopes back to the order-2n coefficient when
+    summed over separations.
     """
     if n < 1:
         raise ValueError("closed chains start at n=1")
     _require_regime(params, Regime.BELOW, "Ftilde_2n")
-    w_odd, w_even = _chain_weights(params, hat=False)
-    here = chain_integral(grid, N, w_odd, w_even, sites=2 * n, closed=True)
-    next_sep = chain_integral(grid, N + 1, w_odd, w_even, sites=2 * n, closed=True)
+    here = build_kernel(params, grid, N).trace_power(n)
+    next_sep = build_kernel(params, grid, N + 1).trace_power(n)
     raw = -(here - next_sep) / n
     return _term(2 * n, N, raw, Method.CHAIN_QUADRATURE)
 
@@ -165,8 +167,10 @@ def f_2n(params: ModelParams, grid: ContourGrid, N: int, n: int, hat: bool = Fal
     """Order-2n form factor.
 
     method "direct" evaluates the 2n-fold grid product (n <= 2 only);
-    "eigen" reads the term off the kernel-matrix spectrum; None picks
-    direct for n <= 2 and eigen beyond.  f at order 0 is 1 by definition.
+    "eigen" applies Newton's identities to the power traces of the kernel
+    matrix, i.e. reads the term off its spectrum without computing it;
+    None picks direct for n <= 2 and eigen beyond.  f at order 0 is 1 by
+    definition.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -205,6 +209,22 @@ def _f_2n1_direct(params: ModelParams, grid: ContourGrid, N: int, n: int) -> com
     return complex(total) / 2.0
 
 
+def _odd_form_factors(g_terms: list[ExpansionTerm], hat_ff: list[complex], N: int) -> list[ExpansionTerm]:
+    """Order-(2n+1) form factors for n = 0..len(g_terms)-1.
+
+    Each is the convolution sum_k G_(2k+1) f_hat(2(n-k)) of the open-chain
+    terms with the hat form factors at separation N+1.
+    """
+    out = []
+    for n in range(len(g_terms)):
+        gs = g_terms[:n + 1]
+        value = sum(g.value * hat_ff[n - k].real for k, g in enumerate(gs))
+        est = max([abs(c.imag) for c in hat_ff[:n + 1]] + [g.est_error for g in gs])
+        out.append(ExpansionTerm(order=2 * n + 1, N=N, value=float(value),
+                                 est_error=float(est), method=Method.COMBINATION))
+    return out
+
+
 def f_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int,
           method: str = "combination") -> ExpansionTerm:
     """Order-(2n+1) form factor, above the critical point.
@@ -224,18 +244,8 @@ def f_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int,
     if method != "combination":
         raise ValueError(f"unknown method {method!r}")
     gs = [G_2n1(params, grid, N, k) for k in range(n + 1)]
-    if n == 0:
-        hat_ff = [1.0]
-        resid = 0.0
-    else:
-        K = build_kernel(params, grid, N + 1, hat=True)
-        hat_complex = ff_coeffs_complex(K, n)
-        hat_ff = [c.real for c in hat_complex]
-        resid = max(abs(c.imag) for c in hat_complex)
-    value = sum(g.value * hat_ff[n - k] for k, g in enumerate(gs))
-    est = max([resid] + [g.est_error for g in gs])
-    return ExpansionTerm(order=2 * n + 1, N=N, value=float(value),
-                         est_error=float(est), method=Method.COMBINATION)
+    hat_ff = ff_coeffs_complex(build_kernel(params, grid, N + 1, hat=True), n) if n else [1.0 + 0.0j]
+    return _odd_form_factors(gs, hat_ff, N)[n]
 
 
 # ----------------------------------------------------------------------
@@ -408,9 +418,12 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
     """Correlation at separation N by the requested route.
 
     Expansion routes truncate at n_max (closed-chain orders 2..2*n_max
-    below, odd orders 1..2*n_max+1 above); est_error is the magnitude of
-    the last included term scaled by its prefactor, a heuristic justified
-    by the observed geometric decay of the terms.
+    below, odd orders 1..2*n_max+1 above) and read every closed chain
+    and form factor from the power sums of one kernel; above the critical
+    point the open-chain terms G_2n1 are evaluated once per entry.
+    est_error is the magnitude of the last included term scaled by its
+    prefactor, a heuristic justified by the observed geometric decay of
+    the terms.
     """
     route = Route(route)
     if not 0 <= n_max <= 3:
@@ -424,37 +437,35 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
         return ComparisonEntry(N=N, route=route.value, value=value, est_error=0.0,
                                terms=[], M=grid.M, n_max=n_max)
 
-    if below:
-        prefactor = s_infinity(params)
-        if route is Route.EXPONENTIAL:
-            terms = [F_2n(params, grid, N, n) for n in range(1, n_max + 1)]
-            value = prefactor * math.exp(sum(t.value for t in terms))
-            est = abs(value) * abs(terms[-1].value) if terms else 0.0
+    # one kernel per entry (plain at N below, hat at N+1 above); both
+    # expansions read its power sums
+    K = build_kernel(params, grid, N if below else N + 1, hat=not below)
+    g_terms = [] if below else [G_2n1(params, grid, N, m) for m in range(n_max + 1)]
+    prefactor = s_infinity(params) if below else s_hat_infinity(params)
+    if route is Route.EXPONENTIAL:
+        p = K.power_sums(n_max)
+        f_terms = [_term(2 * n, K.N, -p[n - 1] / n, Method.CHAIN_QUADRATURE)
+                   for n in range(1, n_max + 1)]
+        exp_part = math.exp(sum(t.value for t in f_terms))
+        if below:
+            terms = f_terms
+            value = prefactor * exp_part
+            est = abs(value) * abs(f_terms[-1].value) if f_terms else 0.0
         else:
-            K = build_kernel(params, grid, N, hat=False)
-            coeffs = ff_coeffs_complex(K, n_max)
-            terms = [_term(2 * n, N, coeffs[n], Method.EIGEN_SYMMETRIC)
-                     for n in range(n_max + 1)]
+            terms = g_terms + f_terms
+            value = -prefactor * sum(t.value for t in g_terms) * exp_part
+            est = prefactor * exp_part * abs(g_terms[-1].value)
+            if f_terms:
+                est += abs(value) * abs(f_terms[-1].value)
+    else:
+        ff = ff_coeffs_complex(K, n_max)
+        if below:
+            terms = [_term(2 * n, N, ff[n], Method.EIGEN_SYMMETRIC) for n in range(n_max + 1)]
             value = prefactor * sum(t.value for t in terms)
             est = prefactor * abs(terms[-1].value) if n_max >= 1 else 0.0
-        return ComparisonEntry(N=N, route=route.value, value=float(value),
-                               est_error=float(est), terms=terms, M=grid.M, n_max=n_max)
-
-    prefactor = s_hat_infinity(params)
-    if route is Route.EXPONENTIAL:
-        g_terms = [G_2n1(params, grid, N, m) for m in range(n_max + 1)]
-        f_terms = [F_2n(params, grid, N + 1, n, hat=True) for n in range(1, n_max + 1)]
-        exp_part = math.exp(sum(t.value for t in f_terms))
-        g_sum = sum(t.value for t in g_terms)
-        value = -prefactor * g_sum * exp_part
-        est = prefactor * exp_part * abs(g_terms[-1].value)
-        if f_terms:
-            est += abs(value) * abs(f_terms[-1].value)
-        return ComparisonEntry(N=N, route=route.value, value=float(value),
-                               est_error=float(est), terms=g_terms + f_terms,
-                               M=grid.M, n_max=n_max)
-    terms = [f_2n1(params, grid, N, n) for n in range(n_max + 1)]
-    value = -prefactor * sum(t.value for t in terms)
-    est = prefactor * abs(terms[-1].value)
+        else:
+            terms = _odd_form_factors(g_terms, ff, N)
+            value = -prefactor * sum(t.value for t in terms)
+            est = prefactor * abs(terms[-1].value)
     return ComparisonEntry(N=N, route=route.value, value=float(value),
                            est_error=float(est), terms=terms, M=grid.M, n_max=n_max)

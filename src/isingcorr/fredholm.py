@@ -1,11 +1,11 @@
 """Spectral form of the chain expansions.
 
 Discretizing the two-step chain kernel on the quadrature grid gives one
-M x M matrix K whose traces reproduce the closed-chain integrals
-(order-2n coefficient = -tr(K^n)/n) and whose spectrum carries the whole
-family at once: log det(I - K) sums the exponential series, and the
-signed elementary symmetric functions of the eigenvalues are the
-form factor terms.
+M x M matrix K.  Its power sums p_n = tr(K^n) carry the whole family:
+the order-2n closed-chain coefficient is -p_n/n, and Newton's identities
+turn p_1..p_n into the signed elementary symmetric functions of the
+spectrum, which are the form factor terms.  log det(I - K) sums the
+exponential series from the eigenvalues at once.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from .kernels import KernelSet
 from .params import ModelParams, Regime
 from .quadrature import ContourGrid
 
-#: eigenvector condition number beyond which traces replace eigenvalues
-EIG_COND_LIMIT = 1e8
-
 
 @dataclass
 class KernelMatrix:
@@ -32,30 +29,39 @@ class KernelMatrix:
     hat: bool
     M: int
     _eigs: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _eig_cond: float | None = field(default=None, repr=False, compare=False)
 
     def eigenvalues(self) -> np.ndarray:
         if self._eigs is None:
-            eigs, vecs = np.linalg.eig(self.matrix)
-            self._eigs = eigs
-            self._eig_cond = float(np.linalg.cond(vecs))
+            self._eigs = np.linalg.eigvals(self.matrix)
         return self._eigs
-
-    def eig_condition(self) -> float:
-        self.eigenvalues()
-        return self._eig_cond
 
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.eigenvalues())))
 
+    def power_sums(self, n_max: int) -> np.ndarray:
+        """p_1..p_{n_max} with p_n = tr(K^n), from one running product.
+
+        tr(K^n) is read as the elementwise sum of K^(n-1) * K^T, so the
+        n_max sums cost max(n_max - 2, 0) matrix products.
+        """
+        if n_max < 0:
+            raise ValueError("n_max must be non-negative")
+        K = self.matrix
+        p = np.zeros(n_max, dtype=complex)
+        if n_max >= 1:
+            p[0] = np.trace(K)
+        power = K                                  # K^(n-1) at step n
+        for n in range(2, n_max + 1):
+            p[n - 1] = np.sum(power * K.T)
+            if n < n_max:
+                power = power @ K
+        return p
+
     def trace_power(self, n: int) -> complex:
-        """tr(K^n) by repeated multiplication (no spectral decomposition)."""
+        """tr(K^n), the last of the power sums p_1..p_n."""
         if n < 1:
             raise ValueError("power must be at least 1")
-        power = self.matrix
-        for _ in range(n - 1):
-            power = power @ self.matrix
-        return complex(np.trace(power))
+        return complex(self.power_sums(n)[n - 1])
 
 
 def build_kernel(params: ModelParams, grid: ContourGrid, N: int, hat: bool = False) -> KernelMatrix:
@@ -105,35 +111,22 @@ def _newton_elementary(power_sums: np.ndarray, n_max: int) -> np.ndarray:
     return e
 
 
-def ff_coeffs_complex(K: KernelMatrix, n_max: int, method: str = "auto") -> list[complex]:
+def ff_coeffs_complex(K: KernelMatrix, n_max: int) -> list[complex]:
     """Signed elementary symmetric functions (-1)^n e_n of the spectrum.
 
-    Returned with their (rounding-level) imaginary residues so callers
-    can report them; see ff_coeffs for the real-valued convenience form.
+    Newton's identities applied to the power sums tr(K), ..., tr(K^n_max);
+    no eigendecomposition is involved.  Returned with their
+    (rounding-level) imaginary residues so callers can report them; see
+    ff_coeffs for the real-valued convenience form.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if n_max > K.M:
         raise ValueError(f"n_max={n_max} exceeds the matrix size {K.M}")
-    if method not in ("auto", "eigen", "trace"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "eigen" if K.eig_condition() <= EIG_COND_LIMIT else "trace"
-    if method == "eigen":
-        lam = K.eigenvalues()
-        p = np.array([np.sum(lam ** k) for k in range(1, n_max + 1)])
-    else:
-        p = np.array([K.trace_power(k) for k in range(1, n_max + 1)])
-    e = _newton_elementary(p, n_max)
+    e = _newton_elementary(K.power_sums(n_max), n_max)
     return [complex((-1) ** n * e[n]) for n in range(n_max + 1)]
 
 
-def ff_coeffs(K: KernelMatrix, n_max: int, method: str = "auto") -> list[float]:
-    """Form factor candidates f(2n) for n = 0..n_max, as reals.
-
-    method "eigen" takes power sums from the eigenvalues, "trace" from
-    tr(K^n) directly; "auto" prefers eigenvalues and falls back to traces
-    when the eigenvector basis is ill-conditioned.  Traces cost one extra
-    matrix product per order but are unconditionally stable.
-    """
-    return [c.real for c in ff_coeffs_complex(K, n_max, method)]
+def ff_coeffs(K: KernelMatrix, n_max: int) -> list[float]:
+    """Form factor candidates f(2n) for n = 0..n_max, as reals."""
+    return [c.real for c in ff_coeffs_complex(K, n_max)]

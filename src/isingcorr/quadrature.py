@@ -118,6 +118,10 @@ def chain_integral(
     last site (twice onto a single-site chain, whose two ends coincide).
     The value carries one 1/(2 pi i) per contour, i.e. it is the plain
     u-weighted sum.
+
+    The program reads closed chains off the kernel matrix
+    (fredholm.build_kernel and its power sums); the closed branch here is
+    the independent reference the tests and demo 04 compare them against.
     """
     if sites < 1:
         raise ValueError("chain needs at least one site")

@@ -1,6 +1,7 @@
 """Toeplitz determinants and linear solves: the ground-truth route.
 
-Fourier coefficients of the symbol come from contour quadrature, with an
+Fourier coefficients of the symbol come from contour quadrature (one FFT
+of the symbol on the grid, cached per parameter point and grid), with an
 independent binomial-series convolution available as a second route for
 cross-checks.  Determinants use dense LU with partial pivoting; at desk
 scale (N <= 64) that is both fast and more robust near the edge of
@@ -9,7 +10,7 @@ validity than any fast Toeplitz recursion.
 
 from __future__ import annotations
 
-import threading
+import functools
 import warnings
 from enum import Enum
 
@@ -30,51 +31,35 @@ class Symbol(Enum):
     PHI1 = "phi1"
 
 
-# coefficient cache: (params, M, r) -> {n: a_n}; guarded for insertion,
-# concurrent reads of already-present entries are free
-_cache_lock = threading.Lock()
-_coeff_cache: dict[tuple, dict[int, complex]] = {}
-_phi_cache: dict[tuple, np.ndarray] = {}
+@functools.lru_cache(maxsize=64)
+def _coeff_array(params: ModelParams, M: int, r: float) -> np.ndarray:
+    """fft(phi(z_k)) / M on the grid make_grid(params, M, r), read-only.
+
+    Entry n mod M is r^n a_n: with u_k = z_k / M and z_k = r w^k the
+    trapezoidal sum of a_n is r^(-n) (1/M) sum_k phi(z_k) w^(-k n).
+    """
+    nodes = make_grid(params, M, r).nodes
+    coeffs = np.fft.fft(KernelSet(params).phi(nodes)) / M
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def clear_cache() -> None:
-    with _cache_lock:
-        _coeff_cache.clear()
-        _phi_cache.clear()
-
-
-def _grid_key(params: ModelParams, grid: ContourGrid) -> tuple:
-    return (params, grid.M, grid.r)
-
-
-def _phi_on_grid(params: ModelParams, grid: ContourGrid) -> np.ndarray:
-    key = _grid_key(params, grid)
-    vals = _phi_cache.get(key)
-    if vals is None:
-        vals = KernelSet(params).phi(grid.nodes)
-        with _cache_lock:
-            _phi_cache.setdefault(key, vals)
-    return vals
+    _coeff_array.cache_clear()
 
 
 def fourier_coeff(params: ModelParams, grid: ContourGrid, n: int, symbol: Symbol = Symbol.PHI) -> complex:
     """Coefficient a_n of the symbol (or b_n of the shifted symbol).
 
-    The shifted-symbol coefficients satisfy b_n = a_{n-1} identically, so
+    The M-node trapezoidal sum sum_k u_k phi(z_k) z_k^(-n-1), wrap-around
+    aliasing included, read off one FFT per (params, M, r).  The
+    shifted-symbol coefficients satisfy b_n = a_{n-1} identically, so
     they are looked up rather than re-integrated; the two calls return
     bit-identical values.
     """
     if symbol is Symbol.PHI1:
         return fourier_coeff(params, grid, n - 1, Symbol.PHI)
-    key = _grid_key(params, grid)
-    cache = _coeff_cache.get(key)
-    if cache is not None and n in cache:
-        return cache[n]
-    vals = _phi_on_grid(params, grid)
-    a_n = complex(np.sum(grid.weights * vals * grid.nodes ** (-n - 1)))
-    with _cache_lock:
-        _coeff_cache.setdefault(key, {}).setdefault(n, a_n)
-    return _coeff_cache[key][n]
+    return complex(_coeff_array(params, grid.M, grid.r)[n % grid.M] * grid.r ** -n)
 
 
 # ----------------------------------------------------------------------

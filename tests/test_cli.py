@@ -195,6 +195,24 @@ def test_config_flags_override_file(capsys, tmp_path):
     assert len(rows) == 4
 
 
+def test_config_key_of_another_subcommand_is_ignored(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("diagonal = true\nalpha2 = 0.5\nN = 1..2\nroutes = det\ntrials = 5\n")
+    seen = {}
+    table = cli.cmd_table
+
+    def spy(ns):
+        seen.update(vars(ns))
+        return table(ns)
+
+    monkeypatch.setattr(cli, "cmd_table", spy)
+    code, out, _ = run(capsys, "--config", str(cfg), "table")
+    assert code == 0
+    assert "trials" not in seen and seen["alpha2"] == 0.5
+    _, rows = csv_rows(out)
+    assert len(rows) == 2
+
+
 def test_bad_route_and_bad_N(capsys):
     code, _, _ = run(capsys, "table", "--diagonal", "--alpha2", "0.5",
                      "--N", "1..2", "--routes", "bogus")

@@ -356,6 +356,28 @@ def test_term_magnitudes_decrease_with_order(below_grid):
         assert mags[0] > mags[1] > mags[2]
 
 
+def test_correlation_terms_match_per_order_functions(below, below_grid, above, above_grid):
+    """The one-kernel assembly in correlation and the public per-order terms agree."""
+    def same(got, want):
+        assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+    for N in (1, 5):
+        exp_terms = ic.correlation(below, N, "exp", 3, below_grid).terms
+        ff_terms = ic.correlation(below, N, "ff", 3, below_grid).terms
+        for n in range(1, 4):
+            same(exp_terms[n - 1].value, ic.F_2n(below, below_grid, N, n).value)
+        for n in range(4):
+            same(ff_terms[n].value, ic.f_2n(below, below_grid, N, n, method="eigen").value)
+
+        exp_terms = ic.correlation(above, N, "exp", 3, above_grid).terms
+        ff_terms = ic.correlation(above, N, "ff", 3, above_grid).terms
+        for n in range(4):
+            same(exp_terms[n].value, ic.G_2n1(above, above_grid, N, n).value)
+            same(ff_terms[n].value, ic.f_2n1(above, above_grid, N, n).value)
+        for n in range(1, 4):
+            same(exp_terms[3 + n].value, ic.F_2n(above, above_grid, N + 1, n, hat=True).value)
+
+
 def test_correlation_entry_metadata(below, below_grid):
     entry = ic.correlation(below, 4, "ff", 3, below_grid)
     assert entry.N == 4 and entry.route == "ff"

@@ -76,12 +76,15 @@ def test_route_equivalence_orders_up_to_three(below_grid):
                 assert abs(ff[n] - composed) < 1e-10
 
 
-def test_eigen_and_trace_methods_agree(below, below_grid):
-    K = ic.build_kernel(below, below_grid, 1)
-    eig = ic.ff_coeffs(K, 3, method="eigen")
-    tra = ic.ff_coeffs(K, 3, method="trace")
-    for a, b in zip(eig, tra):
-        assert a == pytest.approx(b, abs=1e-14)
+def test_eigen_and_trace_methods_agree(below, above):
+    """Newton's identities on the power traces match the spectrum's e_n."""
+    for params, hat in ((below, False), (above, True)):
+        for M in (64, 256):
+            K = ic.build_kernel(params, ic.make_grid(params, M), 1, hat=hat)
+            # coefficient of lambda^(M-n) in prod(lambda - lambda_i) is (-1)^n e_n
+            from_eigs = np.poly(np.linalg.eigvals(K.matrix))
+            for n, value in enumerate(ic.ff_coeffs(K, 3)):
+                assert abs(value - from_eigs[n].real) < 1e-14, (hat, M, n)
 
 
 def test_newton_vs_characteristic_polynomial(below, below_grid):
@@ -118,5 +121,3 @@ def test_ff_validation(below, below_grid):
         ic.ff_coeffs(K, -1)
     with pytest.raises(ValueError):
         ic.ff_coeffs(K, 100)
-    with pytest.raises(ValueError):
-        ic.ff_coeffs(K, 2, method="bogus")

@@ -5,6 +5,7 @@ import pytest
 
 import isingcorr as ic
 from isingcorr import Symbol
+from isingcorr import toeplitz as toeplitz_module
 from isingcorr.toeplitz import _lu_det, toeplitz_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures" / "determinants.txt"
@@ -62,6 +63,33 @@ def test_coeff_geometric_decay(below, below_grid):
         hi_neg = abs(ic.fourier_coeff(below, below_grid, -n - 1))
         lo_neg = abs(ic.fourier_coeff(below, below_grid, -n))
         assert hi_neg <= a2 * lo_neg * 1.0001
+
+
+def test_coeff_is_the_trapezoidal_sum(below, above):
+    """fourier_coeff equals sum_k u_k phi(z_k) z_k^(-n-1), aliasing included.
+
+    The reference powers z_k^(-n-1) are built from the phase reduced mod
+    M, so the sum does not multiply the rounding of z_k by n+1; the gap
+    is measured against the sum of the magnitudes of its terms, the scale
+    of its rounding error (aliased coefficients near M/2 are far smaller).
+    """
+    M = 64
+    k = np.arange(M)
+    for params in (below, above):
+        grid = ic.make_grid(params, M)
+        phi = ic.KernelSet(params).phi(grid.nodes)
+        for n in (0, 1, -1, M // 2, -M // 2, M + 3, -M - 1):
+            powers = grid.r ** (-n - 1) * np.exp(-2j * np.pi * ((n + 1) * k % M) / M)
+            summands = grid.weights * phi * powers
+            gap = abs(ic.fourier_coeff(params, grid, n) - np.sum(summands))
+            assert gap <= 1e-15 * np.sum(np.abs(summands)), (params.alpha2, n)
+
+
+def test_clear_cache_empties_the_cache(below, below_grid):
+    ic.fourier_coeff(below, below_grid, 0)
+    assert toeplitz_module._coeff_array.cache_info().currsize > 0
+    toeplitz_module.clear_cache()
+    assert toeplitz_module._coeff_array.cache_info().currsize == 0
 
 
 # ----------------------------------------------------------------------
