@@ -1,11 +1,16 @@
-"""One matrix carries both expansions.
+"""One small matrix carries both expansions.
 
-Discretizing the two-step chain kernel on the quadrature grid gives a
-single M x M matrix K.  Its power traces reproduce the closed-chain
-integrals order by order; log det(I - K) sums the whole exponential
-series at once; and the signed elementary symmetric functions of its
-eigenvalues are exactly the form factors.  The script checks all three
-faces of the object against independently computed values.
+Discretizing the two-step chain kernel on an M-node circle gives an
+M x M matrix, but because z_k^M = r^M on that circle its Cauchy factor
+is exactly c V V^T (V_ks = z_k^s), so the kernel has the nonzero
+spectrum of P Q: two Hankel matrices of contour moments of the chain
+weights.  The moments decay geometrically, and build_kernel keeps only
+the L x L section that float64 can resolve.  Its power traces reproduce
+the closed-chain integrals order by order; log det(I - K) sums the whole
+exponential series at once; and the signed elementary symmetric
+functions of its eigenvalues are exactly the form factors.  The script
+checks all three faces of the section against the M-node grid
+contractions and the Toeplitz determinant.
 """
 
 import math
@@ -18,11 +23,14 @@ params = ic.diagonal_from_alpha2(0.5)
 grid = ic.make_grid(params, 64)
 N = 2
 K = ic.build_kernel(params, grid, N)
+L = len(K.matrix)
 
-print(f"kernel matrix at separation N = {N}: {K.M} x {K.M}, "
-      f"spectral radius {K.spectral_radius():.3e}\n")
+print(f"kernel at separation N = {N}: the {L} x {L} section of the "
+      f"{K.M}-node kernel, spectral radius {K.spectral_radius():.3e}\n")
 
-print("power traces vs closed-chain integrals:")
+print("power traces of the section vs closed-chain grid contractions")
+print(f"(they differ by the grid's aliasing, of order r^(2M) = {grid.r ** (2 * grid.M):.1e} "
+      "times the weights' scale, which the section drops):")
 ks = ic.KernelSet(params)
 for n in (1, 2, 3):
     chain = ic.chain_integral(grid, N, ks.qq, ks.pp, sites=2 * n, closed=True)

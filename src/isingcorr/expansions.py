@@ -12,6 +12,12 @@ The bookkeeping is centralized (see docs/measure_conversion.md):
 * order-2n form factor                   = (-1)^n/(n!)^2 * grid-product sum
 * order-(2n+1) form factor               = (-1)^(n+1)/(n!(n+1)!) * grid-product sum
 
+Every chain is read from the Hankel section P, Q of the chain kernel
+(see fredholm): closed chains are its power sums, and open chains are
+bilinear forms in the same moment basis, with the section taken at
+separation N+1.  The M-node grid products (quadrature.chain_integral,
+_f_2n_direct, _f_2n1_direct) remain as independent cross-checks.
+
 The odd-order signs are anchored end to end against the determinant
 route (both routes must produce the same signed number), which also
 fixes the branch of the symbol above the critical point.
@@ -29,11 +35,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegeneratePoints, MethodUnavailable, RegimeMismatch
-from .fredholm import build_kernel, ff_coeffs_complex
+from .fredholm import KernelMatrix, build_kernel, ff_coeffs_complex
 from .kernels import KernelSet, s_hat_infinity, s_infinity
 from .params import ModelParams, Regime
-from .quadrature import ContourGrid, chain_integral, make_grid
-from .toeplitz import det_DN
+from .quadrature import ContourGrid, make_grid
+from .toeplitz import contour_moments, det_DN
 
 
 class Method(Enum):
@@ -109,14 +115,44 @@ def Ftilde_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> Expansi
 
 
 def phi_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
-    """Order-2n term of the determinant-ratio series (open chain, 1/z ends)."""
+    """Order-2n term of the determinant-ratio series (open chain, 1/z ends).
+
+    With P, Q the section at N+1, x_k = m_qq(N+k) and y_k = m_pp(N+k),
+    the 2n-site open chain is c x^T (QP)^(n-1) y.
+    """
     if n < 1:
         raise ValueError("open ratio chains start at n=1")
     _require_regime(params, Regime.BELOW, "phi_2n")
-    w_odd, w_even = _chain_weights(params, hat=False)
-    raw = -chain_integral(grid, N + 1, w_odd, w_even, sites=2 * n, closed=False,
-                          endpoint_factor=lambda z: 1.0 / z)
+    P, Q, qq, pp, c = build_kernel(params, grid, N + 1).section
+    L = len(P)
+    v = pp[:L]
+    for _ in range(n - 1):
+        v = Q @ (P @ v)
+    raw = -c * (qq[:L] @ v)
     return _term(2 * n, N, raw, Method.CHAIN_QUADRATURE)
+
+
+def _odd_terms(params: ModelParams, grid: ContourGrid, N: int,
+               n_max: int) -> tuple[list[ExpansionTerm], KernelMatrix | None]:
+    """G_1..G_(2 n_max + 1) and, for n_max >= 1, the hat kernel at N+1.
+
+    G_1 = -m_pphat(N-1) needs no section.  Beyond it, with P, Q the hat
+    section at N+1 and x_k = m_pphat(N+k), the (2n+1)-site open chain is
+    c x^T P (QP)^(n-1) x; the kernel P Q comes with the terms so that the
+    odd form factors read the same section.
+    """
+    raws = [-contour_moments(params, grid, "pp_hat", N - 1, 1)[0]]
+    K = None
+    if n_max:
+        K = build_kernel(params, grid, N + 1, hat=True)
+        P, Q, _, pp, c = K.section
+        x = pp[:len(P)]
+        v = P @ x
+        for n in range(1, n_max + 1):
+            if n > 1:
+                v = P @ (Q @ v)
+            raws.append(-c * (x @ v))
+    return [_term(2 * n + 1, N, raw, Method.CHAIN_QUADRATURE) for n, raw in enumerate(raws)], K
 
 
 def G_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
@@ -131,10 +167,7 @@ def G_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTe
     if n < 0:
         raise ValueError("n must be non-negative")
     _require_regime(params, Regime.ABOVE, "G_2n1")
-    ks = KernelSet(params)
-    raw = -chain_integral(grid, N + 1, ks.pp_hat, ks.qq_hat, sites=2 * n + 1, closed=False,
-                          endpoint_factor=lambda z: 1.0 / z)
-    return _term(2 * n + 1, N, raw, Method.CHAIN_QUADRATURE)
+    return _odd_terms(params, grid, N, n)[0][n]
 
 
 # ----------------------------------------------------------------------
@@ -166,20 +199,20 @@ def f_2n(params: ModelParams, grid: ContourGrid, N: int, n: int, hat: bool = Fal
          method: str | None = None) -> ExpansionTerm:
     """Order-2n form factor.
 
-    method "direct" evaluates the 2n-fold grid product (n <= 2 only);
-    "eigen" applies Newton's identities to the power traces of the kernel
-    matrix, i.e. reads the term off its spectrum without computing it;
-    None picks direct for n <= 2 and eigen beyond.  f at order 0 is 1 by
-    definition.
+    method "eigen" (the default, also for None) applies Newton's
+    identities to the power traces of the kernel section, i.e. reads the
+    term off its spectrum without computing it; "direct" evaluates the
+    2n-fold grid product (n <= 2 only) as an independent cross-check.
+    f at order 0 is 1 by definition.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     _require_regime(params, Regime.ABOVE if hat else Regime.BELOW, "f_2n")
+    if method is None:
+        method = "eigen"
     if n == 0:
         return ExpansionTerm(order=0, N=N, value=1.0, est_error=0.0,
                              method=Method.EIGEN_SYMMETRIC if method == "eigen" else Method.CHAIN_QUADRATURE)
-    if method is None:
-        method = "direct" if n <= 2 else "eigen"
     if method == "direct":
         if n > 2:
             raise MethodUnavailable("direct grid products are limited to n <= 2")
@@ -243,8 +276,8 @@ def f_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int,
         return _term(2 * n + 1, N, raw, Method.CHAIN_QUADRATURE)
     if method != "combination":
         raise ValueError(f"unknown method {method!r}")
-    gs = [G_2n1(params, grid, N, k) for k in range(n + 1)]
-    hat_ff = ff_coeffs_complex(build_kernel(params, grid, N + 1, hat=True), n) if n else [1.0 + 0.0j]
+    gs, K = _odd_terms(params, grid, N, n)
+    hat_ff = ff_coeffs_complex(K, n) if n else [1.0 + 0.0j]
     return _odd_form_factors(gs, hat_ff, N)[n]
 
 
@@ -419,8 +452,9 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
 
     Expansion routes truncate at n_max (closed-chain orders 2..2*n_max
     below, odd orders 1..2*n_max+1 above) and read every closed chain
-    and form factor from the power sums of one kernel; above the critical
-    point the open-chain terms G_2n1 are evaluated once per entry.
+    and form factor from the power sums of one kernel section; above the
+    critical point the open-chain terms G_2n1 are bilinear forms in the
+    same section.
     est_error is the magnitude of the last included term scaled by its
     prefactor, a heuristic justified by the observed geometric decay of
     the terms.
@@ -437,13 +471,16 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
         return ComparisonEntry(N=N, route=route.value, value=value, est_error=0.0,
                                terms=[], M=grid.M, n_max=n_max)
 
-    # one kernel per entry (plain at N below, hat at N+1 above); both
-    # expansions read its power sums
-    K = build_kernel(params, grid, N if below else N + 1, hat=not below)
-    g_terms = [] if below else [G_2n1(params, grid, N, m) for m in range(n_max + 1)]
+    # one kernel section per entry (plain at N below, hat at N+1 above);
+    # both expansions read its power sums, and none is built at n_max=0
+    if below:
+        g_terms = []
+        K = build_kernel(params, grid, N) if n_max else None
+    else:
+        g_terms, K = _odd_terms(params, grid, N, n_max)
     prefactor = s_infinity(params) if below else s_hat_infinity(params)
     if route is Route.EXPONENTIAL:
-        p = K.power_sums(n_max)
+        p = K.power_sums(n_max) if K is not None else []
         f_terms = [_term(2 * n, K.N, -p[n - 1] / n, Method.CHAIN_QUADRATURE)
                    for n in range(1, n_max + 1)]
         exp_part = math.exp(sum(t.value for t in f_terms))
@@ -458,7 +495,7 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
             if f_terms:
                 est += abs(value) * abs(f_terms[-1].value)
     else:
-        ff = ff_coeffs_complex(K, n_max)
+        ff = ff_coeffs_complex(K, n_max) if K is not None else [1.0 + 0.0j]
         if below:
             terms = [_term(2 * n, N, ff[n], Method.EIGEN_SYMMETRIC) for n in range(n_max + 1)]
             value = prefactor * sum(t.value for t in terms)

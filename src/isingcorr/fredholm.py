@@ -1,8 +1,18 @@
 """Spectral form of the chain expansions.
 
-Discretizing the two-step chain kernel on the quadrature grid gives one
-M x M matrix K.  Its power sums p_n = tr(K^n) carry the whole family:
-the order-2n closed-chain coefficient is -p_n/n, and Newton's identities
+On the M-node circle the two-step chain kernel at separation N is
+D_a C D_b C, with C_ij = 1/(1 - z_i z_j) and the diagonals
+a_k = u_k W_odd(z_k) z_k^N, b_k = u_k W_even(z_k) z_k^N.  Because z_k^M = r^M on the circle, C = c V V^T
+exactly, with V_ks = z_k^s (s < M) and c = 1/(1 - r^(2M)).  The kernel
+therefore has the nonzero spectrum of P Q, where P_st = c m_odd(N+s+t)
+and Q_st = c m_even(N+s+t) are Hankel matrices of the contour moments
+m(j) = sum_k u_k w(z_k) z_k^j of the two weights: the finite section of
+det(I - H(b) H(c~)) in the Borodin-Okounkov formula.  The moments decay
+like r_min^j, so the section is cut at the size L where r_min^(2L)
+reaches the float64 rounding level (L = M is the exact identity).
+
+The section's power sums p_n = tr((PQ)^n) carry the whole family: the
+order-2n closed-chain coefficient is -p_n/n, and Newton's identities
 turn p_1..p_n into the signed elementary symmetric functions of the
 spectrum, which are the form factor terms.  log det(I - K) sums the
 exponential series from the eigenvalues at once.
@@ -10,24 +20,30 @@ exponential series from the eigenvalues at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFinite, RegimeMismatch, SpectralRadiusExceeded
-from .kernels import KernelSet
+from .errors import RegimeMismatch, SpectralRadiusExceeded
 from .params import ModelParams, Regime
-from .quadrature import ContourGrid
+from .quadrature import ContourGrid, r_min
+from .toeplitz import contour_moments
 
 
 @dataclass
 class KernelMatrix:
-    """Discretized chain kernel, immutable after build."""
+    """Chain kernel section (L x L) of the M-node grid, immutable after build.
+
+    section holds the factors it was multiplied from, (P, Q, odd, even, c)
+    as returned by _chain_section; the open chains read them.
+    """
 
     matrix: np.ndarray
     N: int
     hat: bool
     M: int
+    section: tuple = field(default=(), repr=False, compare=False)
     _eigs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def eigenvalues(self) -> np.ndarray:
@@ -64,29 +80,46 @@ class KernelMatrix:
         return complex(self.power_sums(n)[n - 1])
 
 
-def build_kernel(params: ModelParams, grid: ContourGrid, N: int, hat: bool = False) -> KernelMatrix:
-    """Assemble K = A B for the closed chains at separation N.
+def _section_size(params: ModelParams, M: int) -> int:
+    """L = min(M, ceil(ln 2^-53 / (2 ln r_min)) + 2).
 
-    A[j, k] = u_j W_odd(z_j) z_j^N / (1 - z_j z_k) and
-    B[k, j] = u_k W_even(z_k) z_k^N / (1 - z_k z_j); keeping all weights
-    on the left index avoids square roots of complex weights and any
-    branch ambiguity they would bring.
+    Positive moments decay like r_min^j, so entries of P Q beyond L
+    fall below the float64 rounding of its leading ones.
+    """
+    return min(M, math.ceil(-53.0 * math.log(2.0) / (2.0 * math.log(r_min(params)))) + 2)
+
+
+def _chain_section(params: ModelParams, grid: ContourGrid, N: int, hat: bool):
+    """Hankel factors P, Q of the chain kernel at separation N.
+
+    Returns (P, Q, odd, even, c) with odd[j] = m_odd(N - 1 + j) and
+    even[j] = m_even(N - 1 + j) for j < 2L, so P = c odd[1 + s + t];
+    the leading L entries are the end vectors of the open chains at
+    separation N - 1.
     """
     if hat and params.regime is not Regime.ABOVE:
         raise RegimeMismatch("hat kernels require the above regime")
     if not hat and params.regime is not Regime.BELOW:
         raise RegimeMismatch("plain kernels require the below regime")
-    ks = KernelSet(params)
-    z = grid.nodes
-    w_odd = (ks.qq_hat if hat else ks.qq)(z)
-    w_even = (ks.pp_hat if hat else ks.pp)(z)
-    if not (np.all(np.isfinite(w_odd)) and np.all(np.isfinite(w_even))):
-        raise NonFinite("chain weights evaluated to non-finite values")
-    zn = z ** N
-    C = grid.cauchy_matrix()
-    A = (grid.weights * w_odd * zn)[:, None] * C
-    B = (grid.weights * w_even * zn)[:, None] * C
-    return KernelMatrix(matrix=A @ B, N=N, hat=hat, M=grid.M)
+    L = _section_size(params, grid.M)
+    c = 1.0 / (1.0 - grid.r ** (2 * grid.M))
+    odd = contour_moments(params, grid, "qq_hat" if hat else "qq", N - 1, 2 * L)
+    even = contour_moments(params, grid, "pp_hat" if hat else "pp", N - 1, 2 * L)
+    idx = 1 + np.add.outer(np.arange(L), np.arange(L))
+    return c * odd[idx], c * even[idx], odd, even, c
+
+
+def build_kernel(params: ModelParams, grid: ContourGrid, N: int, hat: bool = False) -> KernelMatrix:
+    """The L x L section P Q of the closed-chain kernel at separation N.
+
+    Its power sums equal those of the M x M grid kernel A B with
+    A[j, k] = u_j W_odd(z_j) z_j^N / (1 - z_j z_k) and
+    B[k, j] = u_k W_even(z_k) z_k^N / (1 - z_k z_j), up to moments
+    below the rounding level (exactly, when L = M).
+    """
+    section = _chain_section(params, grid, N, hat)
+    P, Q = section[:2]
+    return KernelMatrix(matrix=P @ Q, N=N, hat=hat, M=grid.M, section=section)
 
 
 def log_det_expansion(K: KernelMatrix) -> float:
@@ -121,8 +154,8 @@ def ff_coeffs_complex(K: KernelMatrix, n_max: int) -> list[complex]:
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if n_max > K.M:
-        raise ValueError(f"n_max={n_max} exceeds the matrix size {K.M}")
+    if n_max > len(K.matrix):
+        raise ValueError(f"n_max={n_max} exceeds the matrix size {len(K.matrix)}")
     e = _newton_elementary(K.power_sums(n_max), n_max)
     return [complex((-1) ** n * e[n]) for n in range(n_max + 1)]
 

@@ -10,7 +10,10 @@ Multiple integrals whose integrands couple neighbouring variables only
 through 1/(1 - z_i z_{i+1}) ("chains") contract to matrix-vector
 products over the node set; an m-variable chain costs O(m M^2) work for
 open chains (plus one M x M matrix product per pair of sites when the
-chain is closed), never O(M^m).
+chain is closed), never O(M^m).  The program reads every chain from the
+much smaller Hankel section of contour moments instead (see fredholm);
+chain_integral and ContourGrid.cauchy_matrix stay as the independent
+M-node references the tests and demo 04 compare it against.
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ class ContourGrid:
 
     weights are u_k = z_k / M so that sum_k u_k f(z_k) approximates the
     (1/2 pi i)-normalized contour integral.  The nearest-neighbour matrix
-    1/(1 - z_i z_j) is computed lazily and cached; it is read-only
-    afterwards, so sharing a grid across threads is safe.
+    1/(1 - z_i z_j), which only the reference chain contractions use, is
+    computed lazily and cached; it is read-only afterwards, so sharing a
+    grid across threads is safe.
     """
 
     M: int
@@ -119,9 +123,11 @@ def chain_integral(
     The value carries one 1/(2 pi i) per contour, i.e. it is the plain
     u-weighted sum.
 
-    The program reads closed chains off the kernel matrix
-    (fredholm.build_kernel and its power sums); the closed branch here is
-    the independent reference the tests and demo 04 compare them against.
+    The program reads closed chains off the kernel section
+    (fredholm.build_kernel and its power sums) and open chains as bilinear
+    forms in the same moments (expansions.phi_2n, G_2n1); both branches
+    here are the independent references the tests and demo 04 compare
+    them against.
     """
     if sites < 1:
         raise ValueError("chain needs at least one site")

@@ -3,22 +3,21 @@
 Fourier coefficients of the symbol come from contour quadrature (one FFT
 of the symbol on the grid, cached per parameter point and grid), with an
 independent binomial-series convolution available as a second route for
-cross-checks.  Determinants use dense LU with partial pivoting; at desk
-scale (N <= 64) that is both fast and more robust near the edge of
-validity than any fast Toeplitz recursion.
+cross-checks.  The same cached FFTs of the chain weights give their
+contour moments, from which fredholm builds the chain kernel.
+Determinants use dense LU with partial pivoting; at desk scale (N <= 64)
+that is both fast and more robust near the edge of validity than any
+fast Toeplitz recursion.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, toeplitz
-from scipy.special import binom
 
-from .errors import RegimeMismatch, SingularMatrix
+from .errors import NonFinite, RegimeMismatch, SingularMatrix
 from .kernels import KernelSet
 from .params import ModelParams, Regime
 from .quadrature import ContourGrid, make_grid
@@ -32,14 +31,19 @@ class Symbol(Enum):
 
 
 @functools.lru_cache(maxsize=64)
-def _coeff_array(params: ModelParams, M: int, r: float) -> np.ndarray:
-    """fft(phi(z_k)) / M on the grid make_grid(params, M, r), read-only.
+def _coeff_array(params: ModelParams, M: int, r: float, function: str) -> np.ndarray:
+    """fft(f(z_k)) / M on the grid make_grid(params, M, r), read-only.
 
-    Entry n mod M is r^n a_n: with u_k = z_k / M and z_k = r w^k the
-    trapezoidal sum of a_n is r^(-n) (1/M) sum_k phi(z_k) w^(-k n).
+    f is the KernelSet evaluator named by function (phi or a chain
+    weight).  Entry n mod M is r^n a_n: with u_k = z_k / M and
+    z_k = r e^(2 pi i k / M) the trapezoidal sum of the Laurent
+    coefficient a_n of f is r^(-n) (1/M) sum_k f(z_k) e^(-2 pi i k n / M).
     """
     nodes = make_grid(params, M, r).nodes
-    coeffs = np.fft.fft(KernelSet(params).phi(nodes)) / M
+    values = getattr(KernelSet(params), function)(nodes)
+    if not np.all(np.isfinite(values)):
+        raise NonFinite(f"{function} evaluated to non-finite values on the grid")
+    coeffs = np.fft.fft(values) / M
     coeffs.flags.writeable = False
     return coeffs
 
@@ -59,7 +63,19 @@ def fourier_coeff(params: ModelParams, grid: ContourGrid, n: int, symbol: Symbol
     """
     if symbol is Symbol.PHI1:
         return fourier_coeff(params, grid, n - 1, Symbol.PHI)
-    return complex(_coeff_array(params, grid.M, grid.r)[n % grid.M] * grid.r ** -n)
+    return complex(_coeff_array(params, grid.M, grid.r, "phi")[n % grid.M] * grid.r ** -n)
+
+
+def contour_moments(params: ModelParams, grid: ContourGrid, weight: str,
+                    start: int, count: int) -> np.ndarray:
+    """m(j) = sum_k u_k w(z_k) z_k^j for j = start..start+count-1.
+
+    w is the KernelSet evaluator named by weight.  m(j) is the
+    trapezoidal Laurent coefficient a_(-(j+1)) of w, read off the same
+    cached FFT as fourier_coeff.
+    """
+    j1 = np.arange(start + 1, start + count + 1)
+    return _coeff_array(params, grid.M, grid.r, weight)[-j1 % grid.M] * grid.r ** j1
 
 
 # ----------------------------------------------------------------------
@@ -67,9 +83,20 @@ def fourier_coeff(params: ModelParams, grid: ContourGrid, n: int, symbol: Symbol
 # ----------------------------------------------------------------------
 
 def _binom_coeffs(exponent: float, a: float, terms: int) -> np.ndarray:
-    """Taylor coefficients of (1 - a z)**exponent up to z**(terms-1)."""
-    k = np.arange(terms)
-    return binom(exponent, k) * (-a) ** k
+    """Taylor coefficients of (1 - a z)**exponent up to z**(terms-1).
+
+    binom(e, k) is the cumulative product of (e - i + 1)/i over i = 1..k,
+    taken in integers over the exact ratio e = num/den, so each
+    coefficient is rounded once.
+    """
+    num, den = float(exponent).as_integer_ratio()
+    binoms = np.empty(terms)
+    top = bottom = 1
+    for k in range(terms):
+        binoms[k] = top / bottom
+        top *= num - k * den
+        bottom *= (k + 1) * den
+    return binoms * (-a) ** np.arange(terms)
 
 
 def fourier_coeff_series(params: ModelParams, n: int, symbol: Symbol = Symbol.PHI,
@@ -121,21 +148,18 @@ def toeplitz_matrix(params: ModelParams, N: int, symbol: Symbol = Symbol.PHI,
         coeff = lambda n: fourier_coeff_series(params, n, symbol)
     else:
         raise ValueError(f"unknown coefficient route {route!r}")
-    col = np.array([coeff(i) for i in range(N)], dtype=complex)
-    row = np.array([coeff(-j) for j in range(N)], dtype=complex)
-    return toeplitz(col, row)
+    coeffs = np.array([coeff(n) for n in range(1 - N, N)], dtype=complex)
+    i = np.arange(N)
+    return coeffs[i[:, None] - i[None, :] + N - 1]
 
 
 def _lu_det(mat: np.ndarray) -> complex:
-    with warnings.catch_warnings():
-        # a zero pivot is handled explicitly below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(mat, check_finite=True)
-    diag = np.diag(lu)
-    if np.any(diag == 0.0):
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix must not contain infs or NaNs")
+    sign, logabs = np.linalg.slogdet(mat)
+    if sign == 0:
         raise SingularMatrix("zero pivot in LU factorization")
-    swaps = int(np.sum(piv != np.arange(len(piv))))
-    return complex((-1) ** swaps * np.prod(diag))
+    return complex(sign * np.exp(logabs))
 
 
 def det_DN(params: ModelParams, N: int, grid: ContourGrid | None = None,
@@ -177,10 +201,7 @@ def solve_x(params: ModelParams, N: int, matrix: str = "A",
     rhs = np.zeros(N + 1, dtype=complex)
     rhs[0] = 1.0
     try:
-        lu, piv = lu_factor(mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises ValueError instead
+        x = np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from exc
-    if np.any(np.diag(lu) == 0.0):
-        raise SingularMatrix("zero pivot in LU factorization")
-    x = lu_solve((lu, piv), rhs)
     return x.real

@@ -6,6 +6,8 @@ import pytest
 
 import isingcorr as ic
 from isingcorr import KernelSet, Method, Partition
+from isingcorr import expansions as expansions_module
+from isingcorr import fredholm as fredholm_module
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +151,37 @@ def test_G_far_above_critical_point_vanishes():
         assert abs(ic.G_2n1(p, g, N, 0).value) < 1e-5
 
 
+def test_open_chains_match_chain_integral():
+    """phi_2n and G_2n1 from the section equal the M-node open chains.
+
+    At M=64 the two differ by aliasing of the grid, a few 1e-11 of the
+    smallest terms; at M=256 by rounding.
+    """
+    def close(got, want, what):
+        assert abs(got - want) <= 1e-10 * abs(want), (what, got, want)
+
+    for params in (ic.diagonal_from_alpha2(0.5), ic.direct(0.2, 0.5)):
+        ks = KernelSet(params)
+        for M in (64, 256):
+            grid = ic.make_grid(params, M)
+            for N in (1, 2, 3):
+                for n in (1, 2, 3):
+                    chain = ic.chain_integral(grid, N + 1, ks.qq, ks.pp, sites=2 * n, closed=False,
+                                              endpoint_factor=lambda z: 1.0 / z)
+                    close(ic.phi_2n(params, grid, N, n).value, -chain.real,
+                          ("phi", params.alpha1, params.alpha2, M, N, n))
+    for params in (ic.diagonal_from_alpha2(2.5), ic.diagonal_from_alpha2(4.0), ic.direct(0.2, 3.0)):
+        ks = KernelSet(params)
+        for M in (64, 256):
+            grid = ic.make_grid(params, M)
+            for N in (1, 2, 3):
+                for n in (0, 1, 2, 3):
+                    chain = ic.chain_integral(grid, N + 1, ks.pp_hat, ks.qq_hat, sites=2 * n + 1,
+                                              closed=False, endpoint_factor=lambda z: 1.0 / z)
+                    close(ic.G_2n1(params, grid, N, n).value, -chain.real,
+                          ("G", params.alpha1, params.alpha2, M, N, n))
+
+
 def test_G_regime_guard(below, below_grid):
     with pytest.raises(ic.RegimeMismatch):
         ic.G_2n1(below, below_grid, 1, 0)
@@ -183,6 +216,16 @@ def test_f_direct_vs_eigen(below, below_grid, above, above_grid):
             d = ic.f_2n(params, grid, 2, n, hat=hat, method="direct").value
             e = ic.f_2n(params, grid, 2, n, hat=hat, method="eigen").value
             assert abs(d - e) < 1e-10
+
+
+def test_f_default_is_eigen(below, below_grid, above, above_grid):
+    """Without a method, f_2n reads the kernel section; "direct" is opt-in."""
+    for params, grid, hat in ((below, below_grid, False), (above, above_grid, True)):
+        for n in range(4):
+            default = ic.f_2n(params, grid, 2, n, hat=hat)
+            eigen = ic.f_2n(params, grid, 2, n, hat=hat, method="eigen")
+            assert default == eigen
+            assert default.method is Method.EIGEN_SYMMETRIC
 
 
 def test_f_direct_limited(below, below_grid):
@@ -376,6 +419,29 @@ def test_correlation_terms_match_per_order_functions(below, below_grid, above, a
             same(ff_terms[n].value, ic.f_2n1(above, above_grid, N, n).value)
         for n in range(1, 4):
             same(exp_terms[3 + n].value, ic.F_2n(above, above_grid, N + 1, n, hat=True).value)
+
+
+def test_correlation_at_order_zero_builds_no_section(monkeypatch, below, below_grid,
+                                                    above, above_grid):
+    """n_max=0: the prefactor below, the prefactor times -G_1 above."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kernel section built at n_max=0")
+
+    monkeypatch.setattr(fredholm_module, "_chain_section", forbidden)
+    monkeypatch.setattr(expansions_module, "build_kernel", forbidden)
+    for N in (1, 4):
+        for route in ("exp", "ff"):
+            entry = ic.correlation(below, N, route, 0, below_grid)
+            assert entry.value == ic.s_infinity(below)
+            assert entry.est_error == 0.0
+        ks = KernelSet(above)
+        g1 = ic.contour_integral(above_grid, lambda z: ks.pp_hat(z) * z ** (N - 1)).real
+        want = ic.s_hat_infinity(above) * g1
+        for route in ("exp", "ff"):
+            entry = ic.correlation(above, N, route, 0, above_grid)
+            assert entry.value == pytest.approx(want, rel=1e-14, abs=0.0)
+            assert [t.order for t in entry.terms] == [1]
+            assert entry.est_error == pytest.approx(abs(want), rel=1e-14)
 
 
 def test_correlation_entry_metadata(below, below_grid):

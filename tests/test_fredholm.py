@@ -5,7 +5,16 @@ import pytest
 
 import isingcorr as ic
 from isingcorr import KernelSet
-from isingcorr.fredholm import KernelMatrix, ff_coeffs_complex
+from isingcorr import expansions as expansions_module
+from isingcorr import quadrature as quadrature_module
+from isingcorr.fredholm import KernelMatrix, _section_size, ff_coeffs_complex
+from kernel_oracle import grid_kernel, power_sums
+
+
+def row_params(alpha1, alpha2):
+    """Row-kind parameters with the given alphas, through the coupling map."""
+    return ic.from_couplings(ic.Kind.ROW, math.atanh(math.sqrt(alpha1 / alpha2)),
+                             -math.log(alpha1 * alpha2) / 4.0)
 
 
 def test_build_kernel_regime_guards(below, below_grid, above, above_grid):
@@ -26,8 +35,8 @@ def test_trace_matches_chain(below, below_grid):
 
 def test_degenerate_traces_vanish(degenerate):
     g = ic.make_grid(degenerate, 64)
+    assert np.max(np.abs(grid_kernel(degenerate, g, 1))) > 0.0
     K = ic.build_kernel(degenerate, g, 1)
-    assert np.max(np.abs(K.matrix)) > 0.0
     for n in (1, 2, 3):
         assert abs(K.trace_power(n)) / n < 1e-13
 
@@ -121,3 +130,80 @@ def test_ff_validation(below, below_grid):
         ic.ff_coeffs(K, -1)
     with pytest.raises(ValueError):
         ic.ff_coeffs(K, 100)
+
+
+# ----------------------------------------------------------------------
+# the L x L section against the M x M grid kernel
+# ----------------------------------------------------------------------
+
+def test_section_power_sums_match_grid_kernel():
+    """p_1..p_3 of the section equal the grid kernel's at M=256.
+
+    At M=256 the aliasing r^(2M) the section drops is below 1e-24 here.
+    The gap is measured on an absolute scale: the grid kernel's own
+    rounding grows like (r/r_min)^(2N) relative to its small traces.
+    """
+    points = (ic.diagonal_from_alpha2(0.5), row_params(0.2, 0.55),
+              ic.diagonal_from_alpha2(2.5), row_params(0.25, 3.5))
+    for params in points:
+        hat = params.regime is ic.Regime.ABOVE
+        grid = ic.make_grid(params, 256)
+        for N in range(1, 9):
+            K = ic.build_kernel(params, grid, N, hat=hat)
+            assert len(K.matrix) < grid.M and K.M == grid.M
+            gap = np.max(np.abs(K.power_sums(3) - power_sums(grid_kernel(params, grid, N, hat), 3)))
+            assert gap < 1e-16, (params.alpha1, params.alpha2, N, gap)
+
+
+def test_section_is_the_grid_kernel_when_L_equals_M():
+    """Near the critical point the section is the whole identity, L = M."""
+    for alpha2 in (0.9, 1.2):
+        params = ic.diagonal_from_alpha2(alpha2)
+        hat = params.regime is ic.Regime.ABOVE
+        grid = ic.make_grid(params, 64)
+        for N in (1, 4, 8):
+            K = ic.build_kernel(params, grid, N, hat=hat)
+            assert len(K.matrix) == 64
+            oracle = grid_kernel(params, grid, N, hat)
+            assert np.max(np.abs(K.power_sums(3) - power_sums(oracle, 3))) < 1e-14
+            from_eigs = np.poly(np.linalg.eigvals(oracle))[:4].real
+            assert np.max(np.abs(np.array(ic.ff_coeffs(K, 3)) - from_eigs)) < 1e-14
+
+
+def test_section_size_follows_the_moment_decay():
+    assert _section_size(ic.diagonal_from_alpha2(0.2), 256) == 14
+    assert _section_size(ic.diagonal_from_alpha2(0.6), 256) == 38
+    assert _section_size(ic.diagonal_from_alpha2(2.5), 256) == 23
+    assert _section_size(ic.diagonal_from_alpha2(0.9), 64) == 64
+    for alpha2 in (0.2, 0.6, 2.5, 4.0):
+        params = ic.diagonal_from_alpha2(alpha2)
+        L = _section_size(params, 1024)
+        # r_min^(2L) sits below the float64 unit roundoff
+        assert ic.r_min(params) ** (2 * (L - 2)) <= 2.0 ** -53
+
+
+def test_expansion_routes_make_no_grid_matrix(monkeypatch, below, below_grid, above, above_grid):
+    """Kernels, correlations and per-order terms never touch an M x M matrix."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("grid matrix built")
+
+    monkeypatch.setattr(quadrature_module.ContourGrid, "cauchy_matrix", forbidden)
+    monkeypatch.setattr(quadrature_module, "chain_integral", forbidden)
+    monkeypatch.setattr(ic, "chain_integral", forbidden)
+    for route in ("exp", "ff"):
+        for n_max in (0, 3):
+            ic.correlation(below, 3, route, n_max, below_grid)
+            ic.correlation(above, 3, route, n_max, above_grid)
+    ic.build_kernel(above, above_grid, 2, hat=True)
+    for n in (1, 2, 3):
+        ic.F_2n(below, below_grid, 2, n)
+        ic.F_2n(above, above_grid, 2, n, hat=True)
+        ic.Ftilde_2n(below, below_grid, 2, n)
+        ic.phi_2n(below, below_grid, 2, n)
+        ic.f_2n(below, below_grid, 2, n)
+        ic.f_2n(above, above_grid, 2, n, hat=True)
+    for n in (0, 1, 2, 3):
+        ic.G_2n1(above, above_grid, 2, n)
+        ic.f_2n1(above, above_grid, 2, n)
+    # a name bound by import before the patch would escape it
+    assert not hasattr(expansions_module, "chain_integral")

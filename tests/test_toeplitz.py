@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,9 +9,10 @@ import pytest
 import isingcorr as ic
 from isingcorr import Symbol
 from isingcorr import toeplitz as toeplitz_module
-from isingcorr.toeplitz import _lu_det, toeplitz_matrix
+from isingcorr.toeplitz import _binom_coeffs, _lu_det, contour_moments, toeplitz_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures" / "determinants.txt"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def load_fixture_records():
@@ -92,6 +96,47 @@ def test_clear_cache_empties_the_cache(below, below_grid):
     assert toeplitz_module._coeff_array.cache_info().currsize == 0
 
 
+def test_clear_cache_drops_chain_weight_moments(below, below_grid):
+    contour_moments(below, below_grid, "qq", 0, 4)
+    assert toeplitz_module._coeff_array.cache_info().currsize > 0
+    toeplitz_module.clear_cache()
+    assert toeplitz_module._coeff_array.cache_info().currsize == 0
+
+
+def test_moments_are_the_trapezoidal_sums(below, above):
+    """m(j) = sum_k u_k w(z_k) z_k^j, read off the cached FFT of w."""
+    for params, weight in ((below, "qq"), (below, "pp"), (above, "qq_hat"), (above, "pp_hat")):
+        grid = ic.make_grid(params, 64)
+        values = getattr(ic.KernelSet(params), weight)(grid.nodes)
+        got = contour_moments(params, grid, weight, -2, 8)
+        for j, m in zip(range(-2, 6), got):
+            summands = grid.weights * values * grid.nodes ** j
+            assert abs(m - np.sum(summands)) <= 1e-15 * np.sum(np.abs(summands)), (weight, j)
+
+
+def test_binom_coeffs_match_mpmath():
+    import mpmath
+
+    terms = toeplitz_module.SERIES_TERMS
+    with mpmath.workdps(30):
+        for exponent in (0.5, -0.5):
+            for a in (1.0, 0.3):
+                got = _binom_coeffs(exponent, a, terms)
+                for k in range(terms):
+                    want = float(mpmath.binomial(mpmath.mpf(exponent), k) * (-mpmath.mpf(a)) ** k)
+                    assert abs(got[k] - want) <= 1e-15 * abs(want), (exponent, a, k)
+
+
+def test_package_imports_no_scipy():
+    code = ("import sys, isingcorr, isingcorr.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ----------------------------------------------------------------------
 # determinants
 # ----------------------------------------------------------------------
@@ -160,6 +205,20 @@ def test_det_szego_convergence_below(below, below_grid):
 def test_singular_matrix_detected():
     with pytest.raises(ic.SingularMatrix):
         _lu_det(np.ones((3, 3), dtype=complex))
+
+
+def test_nonfinite_matrix_rejected():
+    mat = np.eye(3, dtype=complex)
+    mat[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        _lu_det(mat)
+
+
+def test_singular_solve_detected(monkeypatch, below):
+    monkeypatch.setattr(toeplitz_module, "toeplitz_matrix",
+                        lambda params, n, *args: np.ones((n, n), dtype=complex))
+    with pytest.raises(ic.SingularMatrix):
+        ic.solve_x(below, 2, "A")
 
 
 # ----------------------------------------------------------------------
