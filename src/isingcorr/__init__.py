@@ -10,6 +10,7 @@ from .errors import (
     BranchViolation,
     CriticalPoint,
     DegeneratePoints,
+    GridTooCoarse,
     InvalidAlphas,
     InvalidCoupling,
     IsingCorrError,
@@ -44,18 +45,18 @@ from .fredholm import KernelMatrix, build_kernel, ff_coeffs, log_det_expansion
 from .kernels import KernelSet, s_hat_infinity, s_infinity
 from .params import Kind, ModelParams, Regime, diagonal_from_alpha2, direct, from_couplings
 from .quadrature import ContourGrid, chain_integral, contour_integral, make_grid, refine_until, r_min
-from .toeplitz import Symbol, det_DN, det_DhatN, fourier_coeff, fourier_coeff_series, solve_x
+from .toeplitz import det_DN, det_DhatN, fourier_coeff, fourier_coeff_series, solve_x
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BranchViolation", "ComparisonEntry", "ContourGrid", "CriticalPoint",
     "DegeneratePoints", "ExpansionTerm", "F_2n", "Ftilde_2n", "G_2n1",
-    "InvalidAlphas", "InvalidCoupling", "IsingCorrError", "KernelMatrix",
+    "GridTooCoarse", "InvalidAlphas", "InvalidCoupling", "IsingCorrError", "KernelMatrix",
     "KernelSet", "Kind", "Method", "MethodUnavailable", "ModelParams",
     "NoConvergence", "NonFinite", "Partition", "PoleOnGrid",
     "RadiusOutOfRange", "Regime", "RegimeMismatch", "Route",
-    "SingularMatrix", "SpectralRadiusExceeded", "Symbol",
+    "SingularMatrix", "SpectralRadiusExceeded",
     "build_kernel", "cauchy_identity_residual", "chain_integral",
     "contour_integral", "correlation", "det_DN", "det_DhatN",
     "diagonal_from_alpha2", "direct", "f_2n", "f_2n1", "f_from_F",

@@ -173,6 +173,11 @@ def _write_report(rows: list[dict], header: dict, fmt: str, out_path: str) -> No
                 row["est_error"] = None
             clean.append(row)
         text = json.dumps({"header": header, "rows": clean}, indent=2) + "\n"
+    _emit(text, out_path)
+
+
+def _emit(text: str, out_path: str) -> None:
+    """Write text to out_path, or to stdout for "-"."""
     if out_path == "-":
         sys.stdout.write(text)
     else:
@@ -240,12 +245,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         "records": records,
         "all_pass": all(rec["pass"] for rec in records),
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if ns.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(json.dumps(report, indent=2) + "\n", ns.out)
     return 0 if report["all_pass"] else 1
 
 
@@ -255,32 +255,24 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     routes = _parse_routes(ns.routes, ensure_det=False)
     if (ns.M_list is None) == (ns.order_list is None):
         raise UsageError("give exactly one of --M-list or --order-list")
-    rows = []
+    # one (M, n_max) setting per step of the study
     if ns.M_list is not None:
-        M_values = _parse_int_list(ns.M_list, "M")
-        for N in seps:
-            for route in routes:
-                prev = None
-                for M in M_values:
-                    entry = correlation(params, N, route, ns.orders, make_grid(params, M, ns.r))
-                    diff = float("nan") if prev is None else abs(entry.value - prev)
-                    rows.append({"N": N, "route": route, "value": entry.value,
-                                 "est_error": diff, "M": M, "n_max": ns.orders})
-                    prev = entry.value
+        settings = [(M, ns.orders) for M in _parse_int_list(ns.M_list, "M")]
     else:
         orders = _parse_int_list(ns.order_list, "order")
         if any(o < 0 or o > 3 for o in orders):
             raise UsageError("orders must lie in 0..3")
-        grid = make_grid(params, ns.M, ns.r)
-        for N in seps:
-            for route in routes:
-                prev = None
-                for n_max in orders:
-                    entry = correlation(params, N, route, n_max, grid)
-                    diff = float("nan") if prev is None else abs(entry.value - prev)
-                    rows.append({"N": N, "route": route, "value": entry.value,
-                                 "est_error": diff, "M": grid.M, "n_max": n_max})
-                    prev = entry.value
+        settings = [(ns.M, n_max) for n_max in orders]
+    rows = []
+    for N in seps:
+        for route in routes:
+            prev = None
+            for M, n_max in settings:
+                entry = correlation(params, N, route, n_max, make_grid(params, M, ns.r))
+                diff = float("nan") if prev is None else abs(entry.value - prev)
+                rows.append({"N": N, "route": route, "value": entry.value,
+                             "est_error": diff, "M": M, "n_max": n_max})
+                prev = entry.value
     grid_desc = f"M={ns.M},r={'auto' if ns.r is None else repr(ns.r)}"
     _write_report(rows, _header_fields(params, grid_desc, ns.orders), ns.format, ns.out)
     return 0
@@ -356,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
                 sp.set_defaults(**{k: v for k, v in values.items() if k in dests})
         ns = parser.parse_args(argv)
         return ns.func(ns)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:    # ValueError: a library argument check
         print(f"corr: {exc}", file=sys.stderr)
         return 2
     except IsingCorrError as exc:

@@ -43,9 +43,11 @@ from .toeplitz import contour_moments, det_DN
 
 
 class Method(Enum):
-    CHAIN_QUADRATURE = "ChainQuadrature"
-    EIGEN_SYMMETRIC = "EigenSymmetric"
-    COMBINATION = "Combination"
+    """How a term was computed; the values are the method= strings."""
+
+    SECTION = "section"            # read from the kernel section
+    DIRECT = "direct"              # the M-node grid product, a cross-check
+    COMBINATION = "combination"    # assembled from other terms
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def _chain_weights(params: ModelParams, hat: bool):
 
 
 # ----------------------------------------------------------------------
-# chain-quadrature terms
+# chain terms
 # ----------------------------------------------------------------------
 
 def F_2n(params: ModelParams, grid: ContourGrid, N: int, n: int, hat: bool = False) -> ExpansionTerm:
@@ -95,7 +97,7 @@ def F_2n(params: ModelParams, grid: ContourGrid, N: int, n: int, hat: bool = Fal
         raise ValueError("closed chains start at n=1")
     _require_regime(params, Regime.ABOVE if hat else Regime.BELOW, "F_2n")
     raw = -build_kernel(params, grid, N, hat=hat).trace_power(n) / n
-    return _term(2 * n, N, raw, Method.CHAIN_QUADRATURE)
+    return _term(2 * n, N, raw, Method.SECTION)
 
 
 def Ftilde_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
@@ -111,7 +113,7 @@ def Ftilde_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> Expansi
     here = build_kernel(params, grid, N).trace_power(n)
     next_sep = build_kernel(params, grid, N + 1).trace_power(n)
     raw = -(here - next_sep) / n
-    return _term(2 * n, N, raw, Method.CHAIN_QUADRATURE)
+    return _term(2 * n, N, raw, Method.SECTION)
 
 
 def phi_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
@@ -129,7 +131,7 @@ def phi_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionT
     for _ in range(n - 1):
         v = Q @ (P @ v)
     raw = -c * (qq[:L] @ v)
-    return _term(2 * n, N, raw, Method.CHAIN_QUADRATURE)
+    return _term(2 * n, N, raw, Method.SECTION)
 
 
 def _odd_terms(params: ModelParams, grid: ContourGrid, N: int,
@@ -152,7 +154,7 @@ def _odd_terms(params: ModelParams, grid: ContourGrid, N: int,
             if n > 1:
                 v = P @ (Q @ v)
             raws.append(-c * (x @ v))
-    return [_term(2 * n + 1, N, raw, Method.CHAIN_QUADRATURE) for n, raw in enumerate(raws)], K
+    return [_term(2 * n + 1, N, raw, Method.SECTION) for n, raw in enumerate(raws)], K
 
 
 def G_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
@@ -196,33 +198,30 @@ def _f_2n_direct(params: ModelParams, grid: ContourGrid, N: int, n: int, hat: bo
 
 
 def f_2n(params: ModelParams, grid: ContourGrid, N: int, n: int, hat: bool = False,
-         method: str | None = None) -> ExpansionTerm:
+         method: Method | str = "section") -> ExpansionTerm:
     """Order-2n form factor.
 
-    method "eigen" (the default, also for None) applies Newton's
-    identities to the power traces of the kernel section, i.e. reads the
-    term off its spectrum without computing it; "direct" evaluates the
-    2n-fold grid product (n <= 2 only) as an independent cross-check.
-    f at order 0 is 1 by definition.
+    method "section" (the default) applies Newton's identities to the
+    power traces of the kernel section, i.e. reads the term off its
+    spectrum without computing it; "direct" evaluates the 2n-fold grid
+    product (n <= 2 only) as an independent cross-check.  f at order 0
+    is 1 by definition.
     """
+    method = Method(method)
+    if method is Method.COMBINATION:
+        raise ValueError("f_2n takes method 'section' or 'direct'")
     if n < 0:
         raise ValueError("n must be non-negative")
     _require_regime(params, Regime.ABOVE if hat else Regime.BELOW, "f_2n")
-    if method is None:
-        method = "eigen"
     if n == 0:
-        return ExpansionTerm(order=0, N=N, value=1.0, est_error=0.0,
-                             method=Method.EIGEN_SYMMETRIC if method == "eigen" else Method.CHAIN_QUADRATURE)
-    if method == "direct":
+        return ExpansionTerm(order=0, N=N, value=1.0, est_error=0.0, method=Method.SECTION)
+    if method is Method.DIRECT:
         if n > 2:
             raise MethodUnavailable("direct grid products are limited to n <= 2")
         raw = _f_2n_direct(params, grid, N, n, hat)
-        return _term(2 * n, N, raw, Method.CHAIN_QUADRATURE)
-    if method == "eigen":
-        K = build_kernel(params, grid, N, hat=hat)
-        raw = ff_coeffs_complex(K, n)[n]
-        return _term(2 * n, N, raw, Method.EIGEN_SYMMETRIC)
-    raise ValueError(f"unknown method {method!r}")
+    else:
+        raw = ff_coeffs_complex(build_kernel(params, grid, N, hat=hat), n)[n]
+    return _term(2 * n, N, raw, method)
 
 
 def _f_2n1_direct(params: ModelParams, grid: ContourGrid, N: int, n: int) -> complex:
@@ -259,23 +258,24 @@ def _odd_form_factors(g_terms: list[ExpansionTerm], hat_ff: list[complex], N: in
 
 
 def f_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int,
-          method: str = "combination") -> ExpansionTerm:
+          method: Method | str = "combination") -> ExpansionTerm:
     """Order-(2n+1) form factor, above the critical point.
 
-    The default assembles it from the open-chain terms and the hat form
-    factors at separation N+1; "direct" evaluates the (2n+1)-fold grid
-    product and exists for n <= 1 as an independent cross-check.
+    The default "combination" assembles it from the open-chain terms and
+    the hat form factors at separation N+1; "direct" evaluates the
+    (2n+1)-fold grid product and exists for n <= 1 as an independent
+    cross-check.
     """
+    method = Method(method)
+    if method is Method.SECTION:
+        raise ValueError("f_2n1 takes method 'combination' or 'direct'")
     if n < 0:
         raise ValueError("n must be non-negative")
     _require_regime(params, Regime.ABOVE, "f_2n1")
-    if method == "direct":
+    if method is Method.DIRECT:
         if n > 1:
             raise MethodUnavailable("direct grid products are limited to n <= 1")
-        raw = _f_2n1_direct(params, grid, N, n)
-        return _term(2 * n + 1, N, raw, Method.CHAIN_QUADRATURE)
-    if method != "combination":
-        raise ValueError(f"unknown method {method!r}")
+        return _term(2 * n + 1, N, _f_2n1_direct(params, grid, N, n), method)
     gs, K = _odd_terms(params, grid, N, n)
     hat_ff = ff_coeffs_complex(K, n) if n else [1.0 + 0.0j]
     return _odd_form_factors(gs, hat_ff, N)[n]
@@ -481,7 +481,7 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
     prefactor = s_infinity(params) if below else s_hat_infinity(params)
     if route is Route.EXPONENTIAL:
         p = K.power_sums(n_max) if K is not None else []
-        f_terms = [_term(2 * n, K.N, -p[n - 1] / n, Method.CHAIN_QUADRATURE)
+        f_terms = [_term(2 * n, K.N, -p[n - 1] / n, Method.SECTION)
                    for n in range(1, n_max + 1)]
         exp_part = math.exp(sum(t.value for t in f_terms))
         if below:
@@ -497,7 +497,7 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
     else:
         ff = ff_coeffs_complex(K, n_max) if K is not None else [1.0 + 0.0j]
         if below:
-            terms = [_term(2 * n, N, ff[n], Method.EIGEN_SYMMETRIC) for n in range(n_max + 1)]
+            terms = [_term(2 * n, N, ff[n], Method.SECTION) for n in range(n_max + 1)]
             value = prefactor * sum(t.value for t in terms)
             est = prefactor * abs(terms[-1].value) if n_max >= 1 else 0.0
         else:

@@ -1,4 +1,4 @@
-"""Symbol and factorization kernels with a fixed branch convention.
+"""The symbol, its factor pairs and chain weights, with a fixed branch convention.
 
 Every square root is taken factor by factor with the principal branch
 (cut along the negative real axis).  Each factor has the form
@@ -6,6 +6,9 @@ Every square root is taken factor by factor with the principal branch
 part, so no cut is ever crossed and reciprocal pairs multiply to 1 at
 machine precision.  All evaluators enforce that disk condition and raise
 BranchViolation outside it.
+
+The shifted symbol z * phi(z) has coefficients b_n = a_(n-1), so it
+needs no evaluator: toeplitz reads its matrix as a slice of phi's.
 """
 
 from __future__ import annotations
@@ -109,14 +112,6 @@ class KernelSet:
         if self.params.regime is Regime.BELOW:
             return self.q(z) * self.p(1.0 / z)
         return -self.q_hat(z) * self.p_hat(1.0 / z) / z
-
-    def phi1(self, z):
-        """Shifted symbol z * phi(z); index 0 above the critical point."""
-        z = _as_complex(z)
-        self._require_annulus(z, "phi1")
-        if self.params.regime is Regime.BELOW:
-            return z * self.q(z) * self.p(1.0 / z)
-        return -self.q_hat(z) * self.p_hat(1.0 / z)
 
     # ------------------------------------------------------------------
     # chain weights: products over a point and its reflection 1/z

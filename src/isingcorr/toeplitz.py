@@ -5,6 +5,10 @@ of the symbol on the grid, cached per parameter point and grid), with an
 independent binomial-series convolution available as a second route for
 cross-checks.  The same cached FFTs of the chain weights give their
 contour moments, from which fredholm builds the chain kernel.
+The shifted symbol above the critical point has coefficients
+b_n = a_(n-1), so its N x N matrix is the (N+1) x (N+1) matrix of phi
+without its last row and first column; det_DhatN and solve_x read it
+as that slice.
 Determinants use dense LU with partial pivoting; at desk scale (N <= 64)
 that is both fast and more robust near the edge of validity than any
 fast Toeplitz recursion.
@@ -13,21 +17,15 @@ fast Toeplitz recursion.
 from __future__ import annotations
 
 import functools
-from enum import Enum
 
 import numpy as np
 
-from .errors import NonFinite, RegimeMismatch, SingularMatrix
+from .errors import GridTooCoarse, NonFinite, RegimeMismatch, SingularMatrix
 from .kernels import KernelSet
 from .params import ModelParams, Regime
 from .quadrature import ContourGrid, make_grid
 
 SERIES_TERMS = 200
-
-
-class Symbol(Enum):
-    PHI = "phi"
-    PHI1 = "phi1"
 
 
 @functools.lru_cache(maxsize=64)
@@ -52,17 +50,12 @@ def clear_cache() -> None:
     _coeff_array.cache_clear()
 
 
-def fourier_coeff(params: ModelParams, grid: ContourGrid, n: int, symbol: Symbol = Symbol.PHI) -> complex:
-    """Coefficient a_n of the symbol (or b_n of the shifted symbol).
+def fourier_coeff(params: ModelParams, grid: ContourGrid, n: int) -> complex:
+    """Coefficient a_n of the symbol.
 
     The M-node trapezoidal sum sum_k u_k phi(z_k) z_k^(-n-1), wrap-around
-    aliasing included, read off one FFT per (params, M, r).  The
-    shifted-symbol coefficients satisfy b_n = a_{n-1} identically, so
-    they are looked up rather than re-integrated; the two calls return
-    bit-identical values.
+    aliasing included, read off one FFT per (params, M, r).
     """
-    if symbol is Symbol.PHI1:
-        return fourier_coeff(params, grid, n - 1, Symbol.PHI)
     return complex(_coeff_array(params, grid.M, grid.r, "phi")[n % grid.M] * grid.r ** -n)
 
 
@@ -99,8 +92,7 @@ def _binom_coeffs(exponent: float, a: float, terms: int) -> np.ndarray:
     return binoms * (-a) ** np.arange(terms)
 
 
-def fourier_coeff_series(params: ModelParams, n: int, symbol: Symbol = Symbol.PHI,
-                         terms: int = SERIES_TERMS) -> float:
+def fourier_coeff_series(params: ModelParams, n: int, terms: int = SERIES_TERMS) -> float:
     """Series-convolution route to the same coefficients.
 
     Expands each square-root factor of the symbol as a binomial series in
@@ -113,13 +105,13 @@ def fourier_coeff_series(params: ModelParams, n: int, symbol: Symbol = Symbol.PH
     a1, a2 = params.alpha1, params.alpha2
     if params.regime is Regime.BELOW:
         # natural index-0 symbol is phi itself
-        m = n if symbol is Symbol.PHI else n - 1
+        m = n
         sign = 1.0
         plus = np.convolve(_binom_coeffs(0.5, a1, terms), _binom_coeffs(-0.5, a2, terms))[:terms]
         minus = np.convolve(_binom_coeffs(0.5, a2, terms), _binom_coeffs(-0.5, a1, terms))[:terms]
     else:
-        # above the critical point the shifted symbol has index 0
-        m = n + 1 if symbol is Symbol.PHI else n
+        # above the critical point the shifted symbol z phi has index 0
+        m = n + 1
         sign = -1.0
         plus = np.convolve(_binom_coeffs(0.5, a1, terms), _binom_coeffs(0.5, 1.0 / a2, terms))[:terms]
         minus = np.convolve(_binom_coeffs(-0.5, a1, terms), _binom_coeffs(-0.5, 1.0 / a2, terms))[:terms]
@@ -135,20 +127,29 @@ def fourier_coeff_series(params: ModelParams, n: int, symbol: Symbol = Symbol.PH
 # matrices, determinants, solves
 # ----------------------------------------------------------------------
 
-def toeplitz_matrix(params: ModelParams, N: int, symbol: Symbol = Symbol.PHI,
-                    grid: ContourGrid | None = None, route: str = "quadrature") -> np.ndarray:
-    """N x N Toeplitz matrix with entries c_{i-j} of the chosen symbol."""
+def toeplitz_matrix(params: ModelParams, N: int, grid: ContourGrid | None = None,
+                    route: str = "quadrature") -> np.ndarray:
+    """N x N Toeplitz matrix with entries a_{i-j} of the symbol.
+
+    On the quadrature route the 2N - 1 coefficients need distinct FFT
+    bins, so a grid with M < 2N - 1 raises GridTooCoarse.
+    """
     if N < 1:
         raise ValueError("matrix size must be at least 1")
     if route == "quadrature":
         if grid is None:
             grid = make_grid(params)
-        coeff = lambda n: fourier_coeff(params, grid, n, symbol)
+        if 2 * N - 1 > grid.M:
+            needed = 1 << (2 * N - 2).bit_length()
+            raise GridTooCoarse(
+                f"a {N} x {N} Toeplitz matrix needs 2N-1 = {2 * N - 1} distinct "
+                f"coefficients, more than the M={grid.M} grid resolves; use M >= {needed}")
+        coeffs = [fourier_coeff(params, grid, n) for n in range(1 - N, N)]
     elif route == "series":
-        coeff = lambda n: fourier_coeff_series(params, n, symbol)
+        coeffs = [fourier_coeff_series(params, n) for n in range(1 - N, N)]
     else:
         raise ValueError(f"unknown coefficient route {route!r}")
-    coeffs = np.array([coeff(n) for n in range(1 - N, N)], dtype=complex)
+    coeffs = np.array(coeffs, dtype=complex)
     i = np.arange(N)
     return coeffs[i[:, None] - i[None, :] + N - 1]
 
@@ -169,7 +170,7 @@ def det_DN(params: ModelParams, N: int, grid: ContourGrid | None = None,
     Returns the real part; the imaginary residue is at rounding level
     because the grid is conjugate-symmetric.
     """
-    return _lu_det(toeplitz_matrix(params, N, Symbol.PHI, grid, route)).real
+    return _lu_det(toeplitz_matrix(params, N, grid, route)).real
 
 
 def det_DhatN(params: ModelParams, N: int, grid: ContourGrid | None = None,
@@ -177,7 +178,8 @@ def det_DhatN(params: ModelParams, N: int, grid: ContourGrid | None = None,
     """Determinant of the N x N shifted-symbol matrix, above the critical point."""
     if params.regime is not Regime.ABOVE:
         raise RegimeMismatch("shifted-symbol determinant is an above-regime object")
-    return _lu_det(toeplitz_matrix(params, N, Symbol.PHI1, grid, route)).real
+    # b_n = a_(n-1): T_(N+1) without its last row and first column
+    return _lu_det(toeplitz_matrix(params, N + 1, grid, route)[:-1, 1:]).real
 
 
 def solve_x(params: ModelParams, N: int, matrix: str = "A",
@@ -190,14 +192,13 @@ def solve_x(params: ModelParams, N: int, matrix: str = "A",
     if N < 0:
         raise ValueError("N must be non-negative")
     if matrix == "A":
-        symbol = Symbol.PHI
+        mat = toeplitz_matrix(params, N + 1, grid)
     elif matrix == "B":
         if params.regime is not Regime.ABOVE:
             raise RegimeMismatch("matrix B exists above the critical point only")
-        symbol = Symbol.PHI1
+        mat = toeplitz_matrix(params, N + 2, grid)[:-1, 1:]
     else:
         raise ValueError(f"matrix must be 'A' or 'B', got {matrix!r}")
-    mat = toeplitz_matrix(params, N + 1, symbol, grid)
     rhs = np.zeros(N + 1, dtype=complex)
     rhs[0] = 1.0
     try:

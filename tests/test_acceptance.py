@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import isingcorr as ic
-from isingcorr import Symbol
 from isingcorr.toeplitz import toeplitz_matrix
 
 
@@ -166,14 +165,15 @@ def test_criterion_8_quadrature_convergence():
 def test_criterion_9_structural():
     params = ic.diagonal_from_alpha2(2.5)
     grid = ic.make_grid(params, 64)
+    # the shifted matrix is the plain one less its last row and first column
+    shifted = toeplitz_matrix(params, 7, grid)[:-1, 1:]
     shift_ok = all(
-        ic.fourier_coeff(params, grid, n, Symbol.PHI1) ==
-        ic.fourier_coeff(params, grid, n - 1, Symbol.PHI)
-        for n in range(-4, 6)
+        shifted[i, j] == ic.fourier_coeff(params, grid, i - j - 1)
+        for i in range(6) for j in range(6)
     )
     N = 4
-    B = toeplitz_matrix(params, N + 1, Symbol.PHI1, grid)
-    A = toeplitz_matrix(params, N, Symbol.PHI, grid)
+    B = toeplitz_matrix(params, N + 2, grid)[:-1, 1:]
+    A = toeplitz_matrix(params, N, grid)
     minor_ok = np.array_equal(B[1:, :-1], A)
     mult_ok = all(
         sum(ic.multiplicity(p) for p in ic.partitions(n)) == Fraction(math.factorial(n))

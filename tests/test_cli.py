@@ -4,6 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import isingcorr as ic
 from isingcorr import cli
 
 
@@ -223,3 +224,67 @@ def test_bad_route_and_bad_N(capsys):
     code, _, _ = run(capsys, "table", "--diagonal", "--alpha2", "0.5",
                      "--N", "63..70", "--routes", "det")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--diagonal", "--alpha2", "0.5", "--N", "2", "--M", "100"],
+    ["verify", "--suite", "fredholm", "--M", "100"],
+    ["sweep", "--diagonal", "--alpha2", "0.5", "--N", "2", "--M-list", "16,100"],
+    ["--config", "{cfg}", "table", "--diagonal", "--alpha2", "0.5", "--N", "2"],
+], ids=["table-M", "verify-M", "sweep-M-list", "config-orders"])
+def test_library_argument_errors_exit_two(capsys, tmp_path, argv):
+    """A ValueError from an argument check is a usage error: one line, exit 2."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("orders = 7\n")    # config values skip argparse's choices
+    code, _, err = run(capsys, *[a.format(cfg=cfg) for a in argv])
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("corr: ")
+    assert "Traceback" not in err
+
+
+def test_table_rejects_aliased_determinant(capsys):
+    """N = 64 needs 127 distinct coefficients: M=64 exits 2, M=128 agrees with ff."""
+    argv = ["table", "--diagonal", "--alpha2", "0.5", "--N", "64", "--routes", "det,ff"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "GridTooCoarse" in err and "M >= 128" in err
+    code, out, _ = run(capsys, *argv, "--M", "128")
+    assert code == 0
+    _, rows = csv_rows(out)
+    det, ff = (float(r[2]) for r in rows)
+    assert abs(det - ff) < 1e-14
+
+
+def test_table_json_method_labels(capsys):
+    for argv, labels in ((["--diagonal", "--alpha2", "0.5"], {"section"}),
+                         (["--direct", "0.2", "3.0"], {"combination"})):
+        code, out, _ = run(capsys, "table", *argv, "--N", "3", "--routes", "ff",
+                           "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        ff_terms = [t for row in rows if row["route"] == "ff" for t in row["terms"]]
+        assert {t["method"] for t in ff_terms} == labels
+
+
+@pytest.mark.parametrize("mode", [["--M-list", "16,32,64"], ["--order-list", "0,1,3"]])
+def test_sweep_rows_match_correlation(capsys, mode):
+    code, out, _ = run(capsys, "sweep", "--diagonal", "--alpha2", "0.5", "--N", "2,3",
+                       "--routes", "exp,ff", "--format", "json", *mode)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    params = ic.diagonal_from_alpha2(0.5)
+    if mode[0] == "--M-list":
+        settings = [(M, 3) for M in (16, 32, 64)]
+    else:
+        settings = [(64, n_max) for n_max in (0, 1, 3)]
+    expected = []
+    for N in (2, 3):
+        for route in ("exp", "ff"):
+            prev = None
+            for M, n_max in settings:
+                value = ic.correlation(params, N, route, n_max, ic.make_grid(params, M)).value
+                diff = None if prev is None else abs(value - prev)
+                expected.append({"N": N, "route": route, "value": value,
+                                 "est_error": diff, "M": M, "n_max": n_max})
+                prev = value
+    assert rows == expected

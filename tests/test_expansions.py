@@ -32,7 +32,7 @@ def test_F_matches_bruteforce_pair_sum(below, below_grid):
                         / ((1 - z[j] * z) * (1 - z * z[j])))
     term = ic.F_2n(below, below_grid, N, 1)
     assert abs(term.value - (-brute.real)) < 1e-13
-    assert term.order == 2 and term.method is Method.CHAIN_QUADRATURE
+    assert term.order == 2 and term.method is Method.SECTION
 
 
 def test_F_hat_equals_plain_for_diagonal_inversion(above, above_grid):
@@ -210,22 +210,44 @@ def test_f4_from_partition_relation(below, below_grid):
         assert abs(f - (F4 + F2 ** 2 / 2.0)) < 1e-11
 
 
-def test_f_direct_vs_eigen(below, below_grid, above, above_grid):
+def test_f_direct_vs_section(below, below_grid, above, above_grid):
     for params, grid, hat in ((below, below_grid, False), (above, above_grid, True)):
         for n in (1, 2):
-            d = ic.f_2n(params, grid, 2, n, hat=hat, method="direct").value
-            e = ic.f_2n(params, grid, 2, n, hat=hat, method="eigen").value
-            assert abs(d - e) < 1e-10
+            d = ic.f_2n(params, grid, 2, n, hat=hat, method="direct")
+            e = ic.f_2n(params, grid, 2, n, hat=hat, method="section")
+            assert abs(d.value - e.value) < 1e-10
+            assert d.method is Method.DIRECT and e.method is Method.SECTION
 
 
-def test_f_default_is_eigen(below, below_grid, above, above_grid):
+def test_f_default_is_section(below, below_grid, above, above_grid):
     """Without a method, f_2n reads the kernel section; "direct" is opt-in."""
     for params, grid, hat in ((below, below_grid, False), (above, above_grid, True)):
         for n in range(4):
             default = ic.f_2n(params, grid, 2, n, hat=hat)
-            eigen = ic.f_2n(params, grid, 2, n, hat=hat, method="eigen")
-            assert default == eigen
-            assert default.method is Method.EIGEN_SYMMETRIC
+            section = ic.f_2n(params, grid, 2, n, hat=hat, method="section")
+            assert default == section
+            assert default.method is Method.SECTION
+
+
+def test_method_accepts_member_or_string(below, below_grid, above, above_grid):
+    for method in ("section", "direct"):
+        assert ic.f_2n(below, below_grid, 2, 1, method=method) == \
+            ic.f_2n(below, below_grid, 2, 1, method=Method(method))
+    for method in ("combination", "direct"):
+        assert ic.f_2n1(above, above_grid, 2, 1, method=method) == \
+            ic.f_2n1(above, above_grid, 2, 1, method=Method(method))
+
+
+@pytest.mark.parametrize("method", ["eigen", "bogus", None, "combination", Method.COMBINATION])
+def test_f_2n_rejects_unknown_method(below, below_grid, method):
+    with pytest.raises(ValueError):
+        ic.f_2n(below, below_grid, 2, 1, method=method)
+
+
+@pytest.mark.parametrize("method", ["eigen", "bogus", "section", Method.SECTION])
+def test_f_2n1_rejects_unknown_method(above, above_grid, method):
+    with pytest.raises(ValueError):
+        ic.f_2n1(above, above_grid, 2, 1, method=method)
 
 
 def test_f_direct_limited(below, below_grid):
@@ -410,7 +432,7 @@ def test_correlation_terms_match_per_order_functions(below, below_grid, above, a
         for n in range(1, 4):
             same(exp_terms[n - 1].value, ic.F_2n(below, below_grid, N, n).value)
         for n in range(4):
-            same(ff_terms[n].value, ic.f_2n(below, below_grid, N, n, method="eigen").value)
+            same(ff_terms[n].value, ic.f_2n(below, below_grid, N, n, method="section").value)
 
         exp_terms = ic.correlation(above, N, "exp", 3, above_grid).terms
         ff_terms = ic.correlation(above, N, "ff", 3, above_grid).terms
@@ -419,6 +441,21 @@ def test_correlation_terms_match_per_order_functions(below, below_grid, above, a
             same(ff_terms[n].value, ic.f_2n1(above, above_grid, N, n).value)
         for n in range(1, 4):
             same(exp_terms[3 + n].value, ic.F_2n(above, above_grid, N + 1, n, hat=True).value)
+
+
+def test_correlation_terms_carry_their_method(below, below_grid, above, above_grid):
+    """exp terms and below-regime form factors are read from the section;
+    the odd form factors above are combinations of other terms."""
+    for n_max in (0, 3):
+        for route in ("exp", "ff"):
+            terms = ic.correlation(below, 4, route, n_max, below_grid).terms
+            assert [t.method for t in terms] == [Method.SECTION] * len(terms)
+        terms = ic.correlation(above, 4, "exp", n_max, above_grid).terms
+        assert len(terms) == 2 * n_max + 1
+        assert [t.method for t in terms] == [Method.SECTION] * len(terms)
+        terms = ic.correlation(above, 4, "ff", n_max, above_grid).terms
+        assert len(terms) == n_max + 1
+        assert [t.method for t in terms] == [Method.COMBINATION] * len(terms)
 
 
 def test_correlation_at_order_zero_builds_no_section(monkeypatch, below, below_grid,

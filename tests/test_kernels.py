@@ -76,12 +76,6 @@ def test_phi_squared_equals_branchfree_ratio(below, above):
         assert np.max(np.abs(ks.phi(z) ** 2 - ratio)) < 1e-12 * np.max(np.abs(ratio))
 
 
-def test_phi1_is_z_times_phi(above):
-    ks = KernelSet(above)
-    z = annulus_points(above, 500, seed=5)
-    assert np.max(np.abs(ks.phi1(z) - z * ks.phi(z))) < 1e-14 * np.max(np.abs(ks.phi1(z)))
-
-
 def test_phi_conjugate_symmetry(below, above):
     for params in (below, above):
         ks = KernelSet(params)

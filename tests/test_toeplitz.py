@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import isingcorr as ic
-from isingcorr import Symbol
 from isingcorr import toeplitz as toeplitz_module
 from isingcorr.toeplitz import _binom_coeffs, _lu_det, contour_moments, toeplitz_matrix
 
@@ -44,10 +43,14 @@ def test_coeff_imaginary_residue_small(below, below_grid):
 
 
 def test_shifted_coeff_is_bit_identical(below, below_grid, above, above_grid):
+    """b_n = a_(n-1) exactly: the shifted matrix is a slice of the plain one."""
     for params, grid in ((below, below_grid), (above, above_grid)):
+        quad = toeplitz_matrix(params, 7, grid)[:-1, 1:]
+        series = toeplitz_matrix(params, 7, route="series")[:-1, 1:]
         for n in (-2, 0, 3, 5):
-            assert ic.fourier_coeff(params, grid, n, Symbol.PHI1) == \
-                ic.fourier_coeff(params, grid, n - 1, Symbol.PHI)
+            i, j = max(n, 0), max(-n, 0)
+            assert quad[i, j] == ic.fourier_coeff(params, grid, n - 1)
+            assert series[i, j] == ic.fourier_coeff_series(params, n - 1)
 
 
 def test_degenerate_coeffs_are_kronecker(degenerate):
@@ -176,7 +179,7 @@ def test_dhat_regime_guard(below):
 
 
 def test_shifted_matrix_structure(above, above_grid):
-    B = toeplitz_matrix(above, 3, Symbol.PHI1, above_grid)
+    B = toeplitz_matrix(above, 4, above_grid)[:-1, 1:]
     for i in range(3):
         for j in range(3):
             assert B[i, j] == ic.fourier_coeff(above, above_grid, i - j - 1)
@@ -184,9 +187,59 @@ def test_shifted_matrix_structure(above, above_grid):
 
 def test_minor_of_shifted_matrix_is_plain_matrix(above, above_grid):
     N = 4
-    B = toeplitz_matrix(above, N + 1, Symbol.PHI1, above_grid)
-    A = toeplitz_matrix(above, N, Symbol.PHI, above_grid)
+    B = toeplitz_matrix(above, N + 2, above_grid)[:-1, 1:]
+    A = toeplitz_matrix(above, N, above_grid)
     assert np.array_equal(B[1:, :-1], A)
+
+
+ABOVE_POINTS = (ic.diagonal_from_alpha2(2.5), ic.direct(0.2, 3.0), ic.direct(0.05, 5.0))
+
+
+def _entrywise(coeff, N):
+    """N x N matrix with entries coeff(i - j), built one entry at a time."""
+    return np.array([[coeff(i - j) for j in range(N)] for i in range(N)], dtype=complex)
+
+
+@pytest.mark.parametrize("M", [64, 256])
+def test_shifted_det_and_solve_equal_entrywise_matrix(M):
+    """det_DhatN and solve_x(B) read b_n = a_(n-1); compared with == on both routes."""
+    e0 = np.zeros(13, dtype=complex)
+    e0[0] = 1.0
+    for params in ABOVE_POINTS:
+        grid = ic.make_grid(params, M)
+        shifted = lambda n: ic.fourier_coeff(params, grid, n - 1)
+        for N in range(1, 13):
+            B = _entrywise(shifted, N)
+            assert ic.det_DhatN(params, N, grid) == _lu_det(B).real, (params.alpha2, N)
+            B1 = _entrywise(shifted, N + 1)
+            assert np.array_equal(ic.solve_x(params, N, "B", grid),
+                                  np.linalg.solve(B1, e0[:N + 1]).real), (params.alpha2, N)
+            if M == 64:
+                B = _entrywise(lambda n: ic.fourier_coeff_series(params, n - 1), N)
+                assert ic.det_DhatN(params, N, route="series") == _lu_det(B).real
+
+
+def test_matrix_needs_distinct_coefficient_bins(below):
+    """2N - 1 <= M: at N = M/2 + 1 two entries would share one FFT bin."""
+    grid = ic.make_grid(below, 64)
+    assert toeplitz_matrix(below, 32, grid).shape == (32, 32)
+    with pytest.raises(ic.GridTooCoarse, match="M >= 128"):
+        toeplitz_matrix(below, 33, grid)
+    with pytest.raises(ic.GridTooCoarse):
+        ic.det_DN(below, 33, grid)
+    # the series route has no grid and no bound
+    assert toeplitz_matrix(below, 33, route="series").shape == (33, 33)
+
+
+def test_shifted_matrix_needs_one_more_bin(above):
+    """Shifted matrices are slices of T_(N+1), so they need 2N + 1 <= M."""
+    grid = ic.make_grid(above, 64)
+    ic.det_DhatN(above, 31, grid)
+    ic.solve_x(above, 30, "B", grid)
+    with pytest.raises(ic.GridTooCoarse, match="M >= 128"):
+        ic.det_DhatN(above, 32, grid)
+    with pytest.raises(ic.GridTooCoarse):
+        ic.solve_x(above, 31, "B", grid)
 
 
 def test_dhat_szego_convergence(above, above_grid):
