@@ -10,7 +10,6 @@ from .errors import (
     BranchViolation,
     CriticalPoint,
     DegeneratePoints,
-    GridTooCoarse,
     InvalidAlphas,
     InvalidCoupling,
     IsingCorrError,
@@ -52,7 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchViolation", "ComparisonEntry", "ContourGrid", "CriticalPoint",
     "DegeneratePoints", "ExpansionTerm", "F_2n", "Ftilde_2n", "G_2n1",
-    "GridTooCoarse", "InvalidAlphas", "InvalidCoupling", "IsingCorrError", "KernelMatrix",
+    "InvalidAlphas", "InvalidCoupling", "IsingCorrError", "KernelMatrix",
     "KernelSet", "Kind", "Method", "MethodUnavailable", "ModelParams",
     "NoConvergence", "NonFinite", "Partition", "PoleOnGrid",
     "RadiusOutOfRange", "Regime", "RegimeMismatch", "Route",

@@ -16,7 +16,7 @@ from . import __version__
 from .errors import IsingCorrError, NoConvergence
 from .expansions import correlation
 from .params import Kind, ModelParams, diagonal_from_alpha2, direct, from_couplings
-from .quadrature import DEFAULT_M, DEFAULT_M_MAX, make_grid, refine_until
+from .quadrature import DEFAULT_M, DEFAULT_M_MAX, check_M, make_grid, refine_until
 from .verify import SUITE_NAMES, run_suite
 
 
@@ -130,6 +130,18 @@ def _parse_int_list(spec: str, what: str) -> list[int]:
     return vals
 
 
+def _check_grid(M: int, orders: int = 0, flag: str = "--M") -> tuple[int, int]:
+    """(M, orders), checked before any work: make_grid's rule for M, and
+    0..3 for orders, which a config file sets past argparse's choices."""
+    try:
+        check_M(M)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+    if not 0 <= orders <= 3:
+        raise UsageError(f"orders {orders} must lie in 0..3")
+    return M, orders
+
+
 # ----------------------------------------------------------------------
 # report writing
 # ----------------------------------------------------------------------
@@ -198,6 +210,7 @@ def cmd_table(ns: argparse.Namespace) -> int:
     params = _build_params(ns)
     seps = _parse_N(ns.N)
     routes = _parse_routes(ns.routes)
+    _check_grid(ns.M, ns.orders)
     rows = []
     hit_cap = False
     grid = make_grid(params, ns.M, ns.r)
@@ -235,6 +248,7 @@ def cmd_table(ns: argparse.Namespace) -> int:
 def cmd_verify(ns: argparse.Namespace) -> int:
     if ns.suite not in SUITE_NAMES + ("all",):
         raise UsageError(f"unknown suite {ns.suite!r}; pick from {', '.join(SUITE_NAMES + ('all',))}")
+    _check_grid(ns.M)
     records = run_suite(ns.suite, trials=ns.trials, seed=ns.seed, M=ns.M)
     report = {
         "suite": ns.suite,
@@ -257,12 +271,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         raise UsageError("give exactly one of --M-list or --order-list")
     # one (M, n_max) setting per step of the study
     if ns.M_list is not None:
-        settings = [(M, ns.orders) for M in _parse_int_list(ns.M_list, "M")]
+        settings = [_check_grid(M, ns.orders, "--M-list") for M in _parse_int_list(ns.M_list, "M")]
     else:
-        orders = _parse_int_list(ns.order_list, "order")
-        if any(o < 0 or o > 3 for o in orders):
-            raise UsageError("orders must lie in 0..3")
-        settings = [(ns.M, n_max) for n_max in orders]
+        settings = [_check_grid(ns.M, n) for n in _parse_int_list(ns.order_list, "order")]
     rows = []
     for N in seps:
         for route in routes:
@@ -348,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
                 sp.set_defaults(**{k: v for k, v in values.items() if k in dests})
         ns = parser.parse_args(argv)
         return ns.func(ns)
-    except (UsageError, ValueError) as exc:    # ValueError: a library argument check
+    except UsageError as exc:
         print(f"corr: {exc}", file=sys.stderr)
         return 2
     except IsingCorrError as exc:

@@ -41,10 +41,6 @@ class SingularMatrix(IsingCorrError):
     """Toeplitz matrix is numerically singular (parameters at or beyond validity)."""
 
 
-class GridTooCoarse(IsingCorrError):
-    """The grid has fewer nodes than the Toeplitz matrix has distinct coefficients."""
-
-
 class MethodUnavailable(IsingCorrError):
     """The requested evaluation method does not support these arguments."""
 

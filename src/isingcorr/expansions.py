@@ -205,7 +205,7 @@ def f_2n(params: ModelParams, grid: ContourGrid, N: int, n: int, hat: bool = Fal
     power traces of the kernel section, i.e. reads the term off its
     spectrum without computing it; "direct" evaluates the 2n-fold grid
     product (n <= 2 only) as an independent cross-check.  f at order 0
-    is 1 by definition.
+    is 1 by definition, labelled with the method asked for.
     """
     method = Method(method)
     if method is Method.COMBINATION:
@@ -214,7 +214,7 @@ def f_2n(params: ModelParams, grid: ContourGrid, N: int, n: int, hat: bool = Fal
         raise ValueError("n must be non-negative")
     _require_regime(params, Regime.ABOVE if hat else Regime.BELOW, "f_2n")
     if n == 0:
-        return ExpansionTerm(order=0, N=N, value=1.0, est_error=0.0, method=Method.SECTION)
+        return ExpansionTerm(order=0, N=N, value=1.0, est_error=0.0, method=method)
     if method is Method.DIRECT:
         if n > 2:
             raise MethodUnavailable("direct grid products are limited to n <= 2")

@@ -71,14 +71,19 @@ class ContourGrid:
         return self._cauchy
 
 
+def check_M(M: int) -> None:
+    """Raise ValueError unless M is a power of two, at least 8."""
+    if M < 8 or (M & (M - 1)) != 0:
+        raise ValueError(f"M={M} must be a power of two, at least 8")
+
+
 def make_grid(params: ModelParams, M: int = DEFAULT_M, r: float | None = None) -> ContourGrid:
     """Build an M-node grid on |z| = r inside the admissible annulus.
 
     M must be a power of two, at least 8.  With r omitted the radius is
     the midpoint (1 + r_min)/2 of the admissible interval.
     """
-    if M < 8 or (M & (M - 1)) != 0:
-        raise ValueError(f"M={M} must be a power of two, at least 8")
+    check_M(M)
     lo = r_min(params)
     if r is None:
         r = 0.5 * (1.0 + lo)

@@ -20,7 +20,7 @@ import functools
 
 import numpy as np
 
-from .errors import GridTooCoarse, NonFinite, RegimeMismatch, SingularMatrix
+from .errors import NonFinite, RegimeMismatch, SingularMatrix
 from .kernels import KernelSet
 from .params import ModelParams, Regime
 from .quadrature import ContourGrid, make_grid
@@ -129,21 +129,12 @@ def fourier_coeff_series(params: ModelParams, n: int, terms: int = SERIES_TERMS)
 
 def toeplitz_matrix(params: ModelParams, N: int, grid: ContourGrid | None = None,
                     route: str = "quadrature") -> np.ndarray:
-    """N x N Toeplitz matrix with entries a_{i-j} of the symbol.
-
-    On the quadrature route the 2N - 1 coefficients need distinct FFT
-    bins, so a grid with M < 2N - 1 raises GridTooCoarse.
-    """
+    """N x N Toeplitz matrix with entries a_{i-j} of the symbol."""
     if N < 1:
         raise ValueError("matrix size must be at least 1")
     if route == "quadrature":
         if grid is None:
             grid = make_grid(params)
-        if 2 * N - 1 > grid.M:
-            needed = 1 << (2 * N - 2).bit_length()
-            raise GridTooCoarse(
-                f"a {N} x {N} Toeplitz matrix needs 2N-1 = {2 * N - 1} distinct "
-                f"coefficients, more than the M={grid.M} grid resolves; use M >= {needed}")
         coeffs = [fourier_coeff(params, grid, n) for n in range(1 - N, N)]
     elif route == "series":
         coeffs = [fourier_coeff_series(params, n) for n in range(1 - N, N)]

@@ -232,8 +232,8 @@ def test_bad_route_and_bad_N(capsys):
     ["sweep", "--diagonal", "--alpha2", "0.5", "--N", "2", "--M-list", "16,100"],
     ["--config", "{cfg}", "table", "--diagonal", "--alpha2", "0.5", "--N", "2"],
 ], ids=["table-M", "verify-M", "sweep-M-list", "config-orders"])
-def test_library_argument_errors_exit_two(capsys, tmp_path, argv):
-    """A ValueError from an argument check is a usage error: one line, exit 2."""
+def test_bad_grid_or_order_exits_two(capsys, tmp_path, argv):
+    """M and orders are checked before any work: one stderr line, exit 2."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text("orders = 7\n")    # config values skip argparse's choices
     code, _, err = run(capsys, *[a.format(cfg=cfg) for a in argv])
@@ -242,17 +242,22 @@ def test_library_argument_errors_exit_two(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
-def test_table_rejects_aliased_determinant(capsys):
-    """N = 64 needs 127 distinct coefficients: M=64 exits 2, M=128 agrees with ff."""
-    argv = ["table", "--diagonal", "--alpha2", "0.5", "--N", "64", "--routes", "det,ff"]
-    code, _, err = run(capsys, *argv)
-    assert code == 2
-    assert "GridTooCoarse" in err and "M >= 128" in err
-    code, out, _ = run(capsys, *argv, "--M", "128")
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+    monkeypatch.setattr(cli, "correlation", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["table", "--diagonal", "--alpha2", "0.5", "--N", "2"])
+
+
+def test_table_refinement_from_default_grid(capsys):
+    """--tol refines up from the default M=64 at N=40 and settles next to ff."""
+    code, out, _ = run(capsys, "table", "--diagonal", "--alpha2", "0.5", "--N", "40",
+                       "--routes", "det,ff", "--tol", "1e-10")
     assert code == 0
     _, rows = csv_rows(out)
     det, ff = (float(r[2]) for r in rows)
-    assert abs(det - ff) < 1e-14
+    assert abs(det - ff) < 1e-12
 
 
 def test_table_json_method_labels(capsys):

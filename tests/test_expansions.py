@@ -238,6 +238,12 @@ def test_method_accepts_member_or_string(below, below_grid, above, above_grid):
             ic.f_2n1(above, above_grid, 2, 1, method=Method(method))
 
 
+def test_f_order_zero_carries_the_requested_label(below, below_grid):
+    for method in ("section", "direct"):
+        term = ic.f_2n(below, below_grid, 2, 0, method=method)
+        assert (term.value, term.method) == (1.0, Method(method))
+
+
 @pytest.mark.parametrize("method", ["eigen", "bogus", None, "combination", Method.COMBINATION])
 def test_f_2n_rejects_unknown_method(below, below_grid, method):
     with pytest.raises(ValueError):

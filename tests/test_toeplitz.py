@@ -219,29 +219,6 @@ def test_shifted_det_and_solve_equal_entrywise_matrix(M):
                 assert ic.det_DhatN(params, N, route="series") == _lu_det(B).real
 
 
-def test_matrix_needs_distinct_coefficient_bins(below):
-    """2N - 1 <= M: at N = M/2 + 1 two entries would share one FFT bin."""
-    grid = ic.make_grid(below, 64)
-    assert toeplitz_matrix(below, 32, grid).shape == (32, 32)
-    with pytest.raises(ic.GridTooCoarse, match="M >= 128"):
-        toeplitz_matrix(below, 33, grid)
-    with pytest.raises(ic.GridTooCoarse):
-        ic.det_DN(below, 33, grid)
-    # the series route has no grid and no bound
-    assert toeplitz_matrix(below, 33, route="series").shape == (33, 33)
-
-
-def test_shifted_matrix_needs_one_more_bin(above):
-    """Shifted matrices are slices of T_(N+1), so they need 2N + 1 <= M."""
-    grid = ic.make_grid(above, 64)
-    ic.det_DhatN(above, 31, grid)
-    ic.solve_x(above, 30, "B", grid)
-    with pytest.raises(ic.GridTooCoarse, match="M >= 128"):
-        ic.det_DhatN(above, 32, grid)
-    with pytest.raises(ic.GridTooCoarse):
-        ic.solve_x(above, 31, "B", grid)
-
-
 def test_dhat_szego_convergence(above, above_grid):
     target = ic.s_hat_infinity(above)
     gaps = [abs((-1) ** N * ic.det_DhatN(above, N, above_grid) - target)
