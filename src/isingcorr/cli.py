@@ -94,15 +94,18 @@ def _build_params(ns: argparse.Namespace) -> ModelParams:
 
 def _parse_N(spec: str) -> list[int]:
     out: list[int] = []
-    for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if ".." in chunk:
-            lo, _, hi = chunk.partition("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        elif chunk:
-            out.append(int(chunk))
+    try:
+        for chunk in spec.split(","):
+            chunk = chunk.strip()
+            if ".." in chunk:
+                lo, _, hi = chunk.partition("..")
+                out.extend(range(int(lo), int(hi) + 1))
+            elif chunk:
+                out.append(int(chunk))
+    except ValueError:
+        out = []
     if not out or any(N < 1 or N > 64 for N in out):
-        raise UsageError(f"separations {spec!r} must lie in 1..64")
+        raise UsageError(f"separations {spec!r} must be integers in 1..64")
     return sorted(set(out))
 
 
@@ -211,6 +214,12 @@ def cmd_table(ns: argparse.Namespace) -> int:
     seps = _parse_N(ns.N)
     routes = _parse_routes(ns.routes)
     _check_grid(ns.M, ns.orders)
+    if ns.tol is not None:
+        if not (math.isfinite(ns.tol) and ns.tol >= 0.0):
+            raise UsageError(f"--tol {ns.tol} must be finite and >= 0")
+        _check_grid(ns.M_max, flag="--M-max")
+        if ns.M_max < ns.M:
+            raise UsageError(f"--M-max {ns.M_max} must be at least --M {ns.M}")
     rows = []
     hit_cap = False
     grid = make_grid(params, ns.M, ns.r)
@@ -249,6 +258,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     if ns.suite not in SUITE_NAMES + ("all",):
         raise UsageError(f"unknown suite {ns.suite!r}; pick from {', '.join(SUITE_NAMES + ('all',))}")
     _check_grid(ns.M)
+    if ns.trials < 1:
+        raise UsageError(f"--trials {ns.trials} must be at least 1")
     records = run_suite(ns.suite, trials=ns.trials, seed=ns.seed, M=ns.M)
     report = {
         "suite": ns.suite,

@@ -50,7 +50,7 @@ class DegeneratePoints(IsingCorrError):
 
 
 class SpectralRadiusExceeded(IsingCorrError):
-    """Kernel matrix spectrum reaches |lambda| >= 1; log det(I - K) diverges."""
+    """det(I - K) is not a positive real, so log det(I - K) has no real value."""
 
 
 class NoConvergence(IsingCorrError):

@@ -14,8 +14,8 @@ reaches the float64 rounding level (L = M is the exact identity).
 The section's power sums p_n = tr((PQ)^n) carry the whole family: the
 order-2n closed-chain coefficient is -p_n/n, and Newton's identities
 turn p_1..p_n into the signed elementary symmetric functions of the
-spectrum, which are the form factor terms.  log det(I - K) sums the
-exponential series from the eigenvalues at once.
+spectrum, which are the form factor terms.  Both expansions are Taylor
+series of det(I - K), which one LU of the section sums to all orders.
 """
 
 from __future__ import annotations
@@ -44,15 +44,6 @@ class KernelMatrix:
     hat: bool
     M: int
     section: tuple = field(default=(), repr=False, compare=False)
-    _eigs: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def eigenvalues(self) -> np.ndarray:
-        if self._eigs is None:
-            self._eigs = np.linalg.eigvals(self.matrix)
-        return self._eigs
-
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues())))
 
     def power_sums(self, n_max: int) -> np.ndarray:
         """p_1..p_{n_max} with p_n = tr(K^n), from one running product.
@@ -123,13 +114,16 @@ def build_kernel(params: ModelParams, grid: ContourGrid, N: int, hat: bool = Fal
 
 
 def log_det_expansion(K: KernelMatrix) -> float:
-    """log det(I - K) = sum_i log(1 - lambda_i); the summed exponential series."""
-    lam = K.eigenvalues()
-    if np.max(np.abs(lam)) >= 1.0:
-        raise SpectralRadiusExceeded(
-            f"spectral radius {np.max(np.abs(lam)):.6g} >= 1, log det diverges"
-        )
-    return float(np.sum(np.log(1.0 - lam)).real)
+    """log det(I - K), the exponential series summed to all orders, from one LU.
+
+    The section is complex only by rounding, so det(I - K) counts as a
+    positive real when the LU sign has a positive real part; otherwise
+    the log has no real value and SpectralRadiusExceeded is raised.
+    """
+    sign, logabs = np.linalg.slogdet(np.eye(len(K.matrix)) - K.matrix)
+    if not sign.real > 0.0:
+        raise SpectralRadiusExceeded(f"det(I - K) has sign {sign:.6g}, so log det has no real value")
+    return float(logabs)
 
 
 def _newton_elementary(power_sums: np.ndarray, n_max: int) -> np.ndarray:

@@ -8,12 +8,12 @@ accurate for integrands analytic in an annulus around the contour.
 
 Multiple integrals whose integrands couple neighbouring variables only
 through 1/(1 - z_i z_{i+1}) ("chains") contract to matrix-vector
-products over the node set; an m-variable chain costs O(m M^2) work for
-open chains (plus one M x M matrix product per pair of sites when the
-chain is closed), never O(M^m).  The program reads every chain from the
-much smaller Hankel section of contour moments instead (see fredholm);
-chain_integral and ContourGrid.cauchy_matrix stay as the independent
-M-node references the tests and demo 04 compare it against.
+products over the node set: an open m-variable chain costs O(m M^2)
+work, never O(M^m).  The program reads every chain from the much smaller
+Hankel section of contour moments instead (see fredholm): closed chains
+are the section's power sums, open chains bilinear forms in its moments.
+chain_integral (open chains only) and ContourGrid.cauchy_matrix stay as
+the independent M-node references the tests compare it against.
 """
 
 from __future__ import annotations
@@ -114,30 +114,23 @@ def chain_integral(
     weight_odd,
     weight_even,
     sites: int,
-    closed: bool,
     endpoint_factor=None,
 ) -> complex:
-    """Contract a nearest-neighbour chain of contour integrals.
+    """Contract an open nearest-neighbour chain of contour integrals.
 
     The integrand is the product over sites i = 1..m of
     z_i**N * w(z_i), with w = weight_odd on odd sites and weight_even on
-    even sites, times 1/(1 - z_i z_{i+1}) for each adjacent pair.  A
-    closed chain (m even) adds the wrap-around factor 1/(1 - z_m z_1); an
-    open chain instead multiplies endpoint_factor(z) onto the first and
-    last site (twice onto a single-site chain, whose two ends coincide).
-    The value carries one 1/(2 pi i) per contour, i.e. it is the plain
-    u-weighted sum.
+    even sites, times 1/(1 - z_i z_{i+1}) for each adjacent pair, times
+    endpoint_factor(z) on the first and last site (twice on a single-site
+    chain, whose two ends coincide).  The value carries one 1/(2 pi i)
+    per contour, i.e. it is the plain u-weighted sum.
 
-    The program reads closed chains off the kernel section
-    (fredholm.build_kernel and its power sums) and open chains as bilinear
-    forms in the same moments (expansions.phi_2n, G_2n1); both branches
-    here are the independent references the tests and demo 04 compare
-    them against.
+    The program reads open chains as bilinear forms in the kernel
+    section's moments (expansions.phi_2n, G_2n1); this is the independent
+    reference the tests compare them against.
     """
     if sites < 1:
         raise ValueError("chain needs at least one site")
-    if closed and sites % 2 != 0:
-        raise ValueError("closed chains alternate two weights and need an even site count")
     z = grid.nodes
     wo = _finite_or_raise(np.asarray(weight_odd(z), dtype=complex), "odd-site weight")
     we = _finite_or_raise(np.asarray(weight_even(z), dtype=complex), "even-site weight")
@@ -145,14 +138,6 @@ def chain_integral(
     s_odd = grid.weights * wo * zn
     s_even = grid.weights * we * zn
     C = grid.cauchy_matrix()
-
-    if closed:
-        pair = (s_odd[:, None] * C) @ (s_even[:, None] * C)
-        power = pair
-        for _ in range(sites // 2 - 1):
-            power = power @ pair
-        return complex(np.trace(power))
-
     if endpoint_factor is None:
         ends = np.ones_like(z)
     else:

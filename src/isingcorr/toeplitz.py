@@ -17,15 +17,14 @@ fast Toeplitz recursion.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from .errors import NonFinite, RegimeMismatch, SingularMatrix
 from .kernels import KernelSet
 from .params import ModelParams, Regime
-from .quadrature import ContourGrid, make_grid
-
-SERIES_TERMS = 200
+from .quadrature import ContourGrid, make_grid, r_min
 
 
 @functools.lru_cache(maxsize=64)
@@ -48,6 +47,7 @@ def _coeff_array(params: ModelParams, M: int, r: float, function: str) -> np.nda
 
 def clear_cache() -> None:
     _coeff_array.cache_clear()
+    _factor_series.cache_clear()
 
 
 def fourier_coeff(params: ModelParams, grid: ContourGrid, n: int) -> complex:
@@ -92,7 +92,21 @@ def _binom_coeffs(exponent: float, a: float, terms: int) -> np.ndarray:
     return binoms * (-a) ** np.arange(terms)
 
 
-def fourier_coeff_series(params: ModelParams, n: int, terms: int = SERIES_TERMS) -> float:
+@functools.lru_cache(maxsize=16)
+def _factor_series(params: ModelParams, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two convolved factor series (in z and in 1/z), read-only."""
+    a1, a2 = params.alpha1, params.alpha2
+    if params.regime is Regime.BELOW:
+        factors = ((0.5, a1), (-0.5, a2)), ((0.5, a2), (-0.5, a1))
+    else:
+        factors = ((0.5, a1), (0.5, 1.0 / a2)), ((-0.5, a1), (-0.5, 1.0 / a2))
+    out = tuple(np.convolve(*(_binom_coeffs(e, a, terms) for e, a in pair))[:terms] for pair in factors)
+    for series in out:
+        series.flags.writeable = False
+    return out
+
+
+def fourier_coeff_series(params: ModelParams, n: int) -> float:
     """Series-convolution route to the same coefficients.
 
     Expands each square-root factor of the symbol as a binomial series in
@@ -100,27 +114,21 @@ def fourier_coeff_series(params: ModelParams, n: int, terms: int = SERIES_TERMS)
     reads the requested Laurent coefficient off the two tails.  Entirely
     independent of the quadrature route.  Above the critical point the
     physical branch of the symbol is minus the per-factor principal
-    product (see KernelSet.phi), hence the sign flip there.
+    product (see KernelSet.phi), hence the sign flip there, and the
+    shifted symbol z phi has index 0, hence m = n + 1.
+
+    The series decay like r_min^k, so truncating them at T terms drops
+    r_min^(2(T - |m|)) of the coefficient; T = ceil(ln 1e-40 / ln r_min)
+    + 50 + 128 ceil((|m| + 1) / 128) puts that below 1e-80, and one
+    cached pair of series serves every |m| < 128.
     """
-    a1, a2 = params.alpha1, params.alpha2
-    if params.regime is Regime.BELOW:
-        # natural index-0 symbol is phi itself
-        m = n
-        sign = 1.0
-        plus = np.convolve(_binom_coeffs(0.5, a1, terms), _binom_coeffs(-0.5, a2, terms))[:terms]
-        minus = np.convolve(_binom_coeffs(0.5, a2, terms), _binom_coeffs(-0.5, a1, terms))[:terms]
-    else:
-        # above the critical point the shifted symbol z phi has index 0
-        m = n + 1
-        sign = -1.0
-        plus = np.convolve(_binom_coeffs(0.5, a1, terms), _binom_coeffs(0.5, 1.0 / a2, terms))[:terms]
-        minus = np.convolve(_binom_coeffs(-0.5, a1, terms), _binom_coeffs(-0.5, 1.0 / a2, terms))[:terms]
+    m, sign = (n, 1.0) if params.regime is Regime.BELOW else (n + 1, -1.0)
+    base = math.ceil(math.log(1e-40) / math.log(r_min(params))) + 50
+    terms = base + 128 * math.ceil((abs(m) + 1) / 128)
+    plus, minus = _factor_series(params, terms)
     if m >= 0:
-        upper = terms - m
-        return float(sign * np.dot(plus[m:m + upper], minus[:upper]))
-    k = -m
-    upper = terms - k
-    return float(sign * np.dot(plus[:upper], minus[k:k + upper]))
+        return float(sign * np.dot(plus[m:], minus[:terms - m]))
+    return float(sign * np.dot(plus[:terms + m], minus[-m:]))
 
 
 # ----------------------------------------------------------------------

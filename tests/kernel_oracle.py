@@ -3,7 +3,8 @@
 K = A B with A[j, k] = u_j W_odd(z_j) z_j^N / (1 - z_j z_k) and
 B[k, j] = u_k W_even(z_k) z_k^N / (1 - z_k z_j), assembled from the
 grid's Cauchy matrix: the kernel build_kernel returned before it read the
-Hankel section of the contour moments.
+Hankel section of the contour moments.  tr(K^n) is the closed 2n-site
+chain on the grid, so its power sums are the closed-chain reference.
 """
 
 import numpy as np

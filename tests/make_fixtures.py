@@ -26,7 +26,7 @@ def main() -> None:
     lines = [
         "# frozen Toeplitz determinant regressions",
         "# generated by tests/make_fixtures.py: quadrature route at "
-        f"M={M} (midpoint radius) vs binomial-series route ({ic.toeplitz.SERIES_TERMS} terms)",
+        f"M={M} (midpoint radius) vs binomial-series route (length derived from r_min)",
         "# columns: alpha1 alpha2 N value est_error route",
     ]
     for a1, a2, Ns in CASES:

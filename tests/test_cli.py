@@ -231,9 +231,22 @@ def test_bad_route_and_bad_N(capsys):
     ["verify", "--suite", "fredholm", "--M", "100"],
     ["sweep", "--diagonal", "--alpha2", "0.5", "--N", "2", "--M-list", "16,100"],
     ["--config", "{cfg}", "table", "--diagonal", "--alpha2", "0.5", "--N", "2"],
-], ids=["table-M", "verify-M", "sweep-M-list", "config-orders"])
-def test_bad_grid_or_order_exits_two(capsys, tmp_path, argv):
-    """M and orders are checked before any work: one stderr line, exit 2."""
+    ["table", "--diagonal", "--alpha2", "0.5", "--N", "1..x"],
+    ["table", "--diagonal", "--alpha2", "0.5", "--N", "3", "--M-max", "100",
+     "--tol", "1e-13", "--routes", "det"],
+    ["table", "--diagonal", "--alpha2", "0.5", "--N", "3", "--M", "128", "--M-max", "64",
+     "--tol", "1e-13", "--routes", "det"],
+    ["table", "--diagonal", "--alpha2", "0.5", "--N", "3", "--tol", "-1", "--routes", "det"],
+    ["table", "--diagonal", "--alpha2", "0.5", "--N", "3", "--tol", "nan", "--routes", "det"],
+    ["verify", "--suite", "cauchy", "--trials", "0"],
+], ids=["table-M", "verify-M", "sweep-M-list", "config-orders", "N-spec",
+        "M-max-not-power-of-two", "M-max-below-M", "tol-negative", "tol-nan", "trials-zero"])
+def test_bad_grid_or_order_exits_two(capsys, tmp_path, monkeypatch, argv):
+    """Bad flags are usage errors found before any work: one stderr line, exit 2."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started")
+    monkeypatch.setattr(cli, "correlation", forbidden)
+    monkeypatch.setattr(cli, "run_suite", forbidden)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("orders = 7\n")    # config values skip argparse's choices
     code, _, err = run(capsys, *[a.format(cfg=cfg) for a in argv])
@@ -293,3 +306,12 @@ def test_sweep_rows_match_correlation(capsys, mode):
                                  "est_error": diff, "M": M, "n_max": n_max})
                 prev = value
     assert rows == expected
+
+
+def test_M_max_is_checked_only_with_tol(capsys):
+    """Without --tol there is no refinement, so --M may exceed the default cap."""
+    code, out, _ = run(capsys, "table", "--diagonal", "--alpha2", "0.5", "--N", "2",
+                       "--routes", "det", "--M", "2048")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert rows[0][4] == "2048"

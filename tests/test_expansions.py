@@ -166,7 +166,7 @@ def test_open_chains_match_chain_integral():
             grid = ic.make_grid(params, M)
             for N in (1, 2, 3):
                 for n in (1, 2, 3):
-                    chain = ic.chain_integral(grid, N + 1, ks.qq, ks.pp, sites=2 * n, closed=False,
+                    chain = ic.chain_integral(grid, N + 1, ks.qq, ks.pp, sites=2 * n,
                                               endpoint_factor=lambda z: 1.0 / z)
                     close(ic.phi_2n(params, grid, N, n).value, -chain.real,
                           ("phi", params.alpha1, params.alpha2, M, N, n))
@@ -177,7 +177,7 @@ def test_open_chains_match_chain_integral():
             for N in (1, 2, 3):
                 for n in (0, 1, 2, 3):
                     chain = ic.chain_integral(grid, N + 1, ks.pp_hat, ks.qq_hat, sites=2 * n + 1,
-                                              closed=False, endpoint_factor=lambda z: 1.0 / z)
+                                              endpoint_factor=lambda z: 1.0 / z)
                     close(ic.G_2n1(params, grid, N, n).value, -chain.real,
                           ("G", params.alpha1, params.alpha2, M, N, n))
 

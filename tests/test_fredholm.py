@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import isingcorr as ic
-from isingcorr import KernelSet
 from isingcorr import expansions as expansions_module
 from isingcorr import quadrature as quadrature_module
 from isingcorr.fredholm import KernelMatrix, _section_size, ff_coeffs_complex
@@ -25,10 +24,9 @@ def test_build_kernel_regime_guards(below, below_grid, above, above_grid):
 
 
 def test_trace_matches_chain(below, below_grid):
+    """Section traces are the closed chains: the grid kernel's power sums."""
     K = ic.build_kernel(below, below_grid, 2)
-    ks = KernelSet(below)
-    chain1 = ic.chain_integral(below_grid, 2, ks.qq, ks.pp, sites=2, closed=True)
-    chain2 = ic.chain_integral(below_grid, 2, ks.qq, ks.pp, sites=4, closed=True)
+    chain1, chain2 = power_sums(grid_kernel(below, below_grid, 2), 2)
     assert abs(K.trace_power(1) - chain1) < 1e-12
     assert abs(K.trace_power(2) - chain2) < 1e-11
 
@@ -45,7 +43,7 @@ def test_spectral_radius_below_one(below, below_grid, above, above_grid):
     for params, grid, hat in ((below, below_grid, False), (above, above_grid, True)):
         for N in (1, 2, 3):
             K = ic.build_kernel(params, grid, N, hat=hat)
-            assert K.spectral_radius() < 1.0
+            assert np.max(np.abs(np.linalg.eigvals(K.matrix))) < 1.0
 
 
 def test_log_det_route_hits_determinant(below, below_grid):
@@ -55,9 +53,13 @@ def test_log_det_route_hits_determinant(below, below_grid):
 
 
 def test_log_det_spectral_radius_guard():
-    K = KernelMatrix(matrix=np.eye(4, dtype=complex) * 2.0, N=0, hat=False, M=4)
+    """Raised when det(I - K) is not positive, whatever the spectral radius."""
+    K = KernelMatrix(matrix=np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex), N=0, hat=False, M=4)
     with pytest.raises(ic.SpectralRadiusExceeded):
         ic.log_det_expansion(K)
+    # rho(2 I) = 2, but det(I - 2 I) = 1 has a real log
+    K = KernelMatrix(matrix=np.eye(4, dtype=complex) * 2.0, N=0, hat=False, M=4)
+    assert ic.log_det_expansion(K) == 0.0
 
 
 def test_ff_coeff_zero_is_one(below, below_grid):

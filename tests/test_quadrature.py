@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import isingcorr as ic
 from isingcorr import KernelSet
 from isingcorr.quadrature import ContourGrid
+from kernel_oracle import grid_kernel, power_sums
 
 
 def test_make_grid_auto_radius(below):
@@ -101,28 +102,12 @@ def brute_closed_pair(grid, N, wo, we):
 
 
 def test_chain_closed_matches_double_loop(below):
+    """The grid kernel's trace is the closed two-site chain."""
     g = ic.make_grid(below, 32)
     ks = KernelSet(below)
     brute = brute_closed_pair(g, 1, ks.qq(g.nodes), ks.pp(g.nodes))
-    engine = ic.chain_integral(g, 1, ks.qq, ks.pp, sites=2, closed=True)
+    engine = np.trace(grid_kernel(below, g, 1))
     assert abs(brute - engine) < 1e-13
-
-
-def test_chain_closed_random_weights_match_brute(below):
-    rng = np.random.default_rng(21)
-    g = ic.make_grid(below, 16)
-    for _ in range(20):
-        cw = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-
-        def wo(z, c=cw[0]):
-            return c[0] + c[1] * z + c[2] / z
-
-        def we(z, c=cw[1]):
-            return c[0] + c[1] * z + c[2] / z
-
-        brute = brute_closed_pair(g, 2, wo(g.nodes), we(g.nodes))
-        engine = ic.chain_integral(g, 2, wo, we, sites=2, closed=True)
-        assert abs(brute - engine) < 1e-13 * max(1.0, abs(brute))
 
 
 def test_chain_open_matches_triple_loop(below):
@@ -137,46 +122,34 @@ def test_chain_open_matches_triple_loop(below):
             inner = (u[a] * qq[a] * z[a] ** N / z[a]) * (u[b] * pp[b] * z[b] ** N) \
                 / (1 - z[a] * z[b])
             total += inner * np.sum((u * qq * z ** N / z) / (1 - z[b] * z))
-    engine = ic.chain_integral(g, N, ks.qq, ks.pp, sites=3, closed=False,
-                               endpoint_factor=lambda w: 1.0 / w)
+    engine = ic.chain_integral(g, N, ks.qq, ks.pp, sites=3, endpoint_factor=lambda w: 1.0 / w)
     assert abs(total - engine) < 1e-12
 
 
 def test_chain_degenerate_weights_vanish(degenerate):
+    """At alpha1 = alpha2 both chain weights are 1, and every closed chain vanishes."""
     g = ic.make_grid(degenerate, 64)
-    one = lambda z: np.ones_like(z)
-    for n in (1, 2, 3):
-        for N in (1, 2):
-            val = ic.chain_integral(g, N, one, one, sites=2 * n, closed=True)
-            assert abs(val) < 1e-13
-
-
-def test_chain_cyclic_relabeling_invariance(below):
-    g = ic.make_grid(below, 32)
-    ks = KernelSet(below)
-    c1 = ic.chain_integral(g, 1, ks.qq, ks.pp, sites=4, closed=True)
-    c2 = ic.chain_integral(g, 1, ks.pp, ks.qq, sites=4, closed=True)
-    assert abs(c1 - c2) < 1e-13 * max(1.0, abs(c1))
+    for N in (1, 2):
+        K = grid_kernel(degenerate, g, N)
+        assert np.max(np.abs(K)) > 0.0
+        for n, p in enumerate(power_sums(K, 3), 1):
+            assert abs(p) < 1e-13, (N, n)
 
 
 def test_chain_validation(below):
     g = ic.make_grid(below, 8)
     ks = KernelSet(below)
     with pytest.raises(ValueError):
-        ic.chain_integral(g, 1, ks.qq, ks.pp, sites=3, closed=True)
-    with pytest.raises(ValueError):
-        ic.chain_integral(g, 1, ks.qq, ks.pp, sites=0, closed=False)
+        ic.chain_integral(g, 1, ks.qq, ks.pp, sites=0)
     with pytest.raises(ic.NonFinite):
-        ic.chain_integral(g, 1, lambda z: z * np.nan, ks.pp, sites=2, closed=True)
+        ic.chain_integral(g, 1, lambda z: z * np.nan, ks.pp, sites=2)
 
 
 def test_error_decay_is_geometric(below):
-    """Successive-doubling differences of a chain value fall geometrically."""
-    ks = KernelSet(below)
+    """Successive-doubling differences of a closed chain fall geometrically."""
     values = {}
     for M in (8, 16, 32, 64, 128):
-        g = ic.make_grid(below, M)
-        values[M] = ic.chain_integral(g, 3, ks.qq, ks.pp, sites=2, closed=True)
+        values[M] = np.trace(grid_kernel(below, ic.make_grid(below, M), 3))
     diffs = [abs(values[2 * M] - values[M]) for M in (8, 16, 32, 64)]
     for a, b in zip(diffs, diffs[1:]):
         if a < 1e-13:

@@ -37,6 +37,22 @@ def test_coeff_quadrature_vs_series(below, above):
             assert abs(quad - series) < 1e-12, (params.alpha1, params.alpha2, n)
 
 
+def test_series_coeffs_near_the_critical_point_match_a_large_grid():
+    """The derived series length keeps the series route exact near T_c.
+
+    On 16384 nodes at the midpoint radius the grid's aliasing
+    (r_min/r)^M is below 1e-35 at these points, so its FFT coefficients
+    are exact to rounding; a fixed 200-term series was off by up to 8e-6.
+    """
+    points = (ic.diagonal_from_alpha2(0.95), ic.diagonal_from_alpha2(0.99),
+              ic.diagonal_from_alpha2(1.05), ic.direct(0.2, 1.05))
+    for params in points:
+        grid = ic.make_grid(params, 16384)
+        for n in range(-63, 64):
+            series = ic.fourier_coeff_series(params, n)
+            assert abs(series - ic.fourier_coeff(params, grid, n)) < 1e-14, (params.alpha2, n)
+
+
 def test_coeff_imaginary_residue_small(below, below_grid):
     for n in range(-8, 9):
         assert abs(ic.fourier_coeff(below, below_grid, n).imag) < 1e-13
@@ -94,9 +110,12 @@ def test_coeff_is_the_trapezoidal_sum(below, above):
 
 def test_clear_cache_empties_the_cache(below, below_grid):
     ic.fourier_coeff(below, below_grid, 0)
+    ic.fourier_coeff_series(below, 0)
     assert toeplitz_module._coeff_array.cache_info().currsize > 0
+    assert toeplitz_module._factor_series.cache_info().currsize > 0
     toeplitz_module.clear_cache()
     assert toeplitz_module._coeff_array.cache_info().currsize == 0
+    assert toeplitz_module._factor_series.cache_info().currsize == 0
 
 
 def test_clear_cache_drops_chain_weight_moments(below, below_grid):
@@ -120,7 +139,7 @@ def test_moments_are_the_trapezoidal_sums(below, above):
 def test_binom_coeffs_match_mpmath():
     import mpmath
 
-    terms = toeplitz_module.SERIES_TERMS
+    terms = 200
     with mpmath.workdps(30):
         for exponent in (0.5, -0.5):
             for a in (1.0, 0.3):
