@@ -1,7 +1,8 @@
 """Batch front end: correlation tables, identity suites, convergence sweeps.
 
-Exit codes: 0 success, 1 verify failure, 2 usage error, 3 refinement did
-not converge (the report is still written with diagnostics).
+Exit codes: 0 success, 1 verify failure, 2 usage or file error, 3
+refinement did not converge (the report is still written with
+diagnostics).
 """
 
 from __future__ import annotations
@@ -28,33 +29,50 @@ class UsageError(Exception):
 # flag plumbing
 # ----------------------------------------------------------------------
 
-_CONFIG_CONVERTERS = {
-    "K1": float, "K2": float, "alpha2": float, "r": float, "tol": float,
-    "M": int, "M_max": int, "orders": int, "trials": int, "seed": int,
-    "diagonal": lambda s: s.lower() in ("1", "true", "yes"),
-    "row": lambda s: s.lower() in ("1", "true", "yes"),
-    "direct": lambda s: [float(tok) for tok in s.split()],
-}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _load_config(path: str) -> dict:
-    """Read `key = value` lines; keys use the same names as the flags."""
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
+def _config_value(action: argparse.Action, text: str):
+    """text converted and checked as its flag's value: type, arity and choices."""
+    if action.nargs == 0:                         # a store_true flag
+        if text.lower() not in _BOOLEANS:
+            raise ValueError(f"expected one of {', '.join(_BOOLEANS)}")
+        return _BOOLEANS[text.lower()]
+    tokens = [text] if action.nargs is None else text.split()
+    if len(tokens) != (action.nargs or 1):
+        raise ValueError(f"expected {action.nargs or 1} value(s), got {len(tokens)}")
+    values = [(action.type or str)(tok) for tok in tokens]
+    if action.choices is not None and any(v not in action.choices for v in values):
+        raise ValueError(f"invalid choice {text!r} "
+                         f"(choose from {', '.join(map(str, action.choices))})")
+    return values[0] if action.nargs is None else values
+
+
+def _load_config(path: str, subparsers: list[argparse.ArgumentParser]) -> None:
+    """Read `key = value` lines into each subcommand's flag defaults: keys are
+    flag names, values pass their flag's checks, and other keys are ignored."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc.strerror}") from None
+    actions = [{a.dest: a for a in sp._actions if a.dest != "help"} for sp in subparsers]
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = (part.strip() for part in line.partition("="))
+        for sp, by_dest in zip(subparsers, actions):
+            action = by_dest.get(key.replace("-", "_"))
+            if action is None:
                 continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            dest = key.strip().replace("-", "_")
-            conv = _CONFIG_CONVERTERS.get(dest, str)
             try:
-                values[dest] = conv(value.strip())
+                converted = _config_value(action, value)
             except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: bad value for {key.strip()}: {exc}")
-    return values
+                raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+            sp.set_defaults(**{action.dest: converted})
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -135,7 +153,7 @@ def _parse_int_list(spec: str, what: str) -> list[int]:
 
 def _check_grid(M: int, orders: int = 0, flag: str = "--M") -> tuple[int, int]:
     """(M, orders), checked before any work: make_grid's rule for M, and
-    0..3 for orders, which a config file sets past argparse's choices."""
+    0..3 for orders, which --order-list sets past argparse's choices."""
     try:
         check_M(M)
     except ValueError as exc:
@@ -195,9 +213,12 @@ def _emit(text: str, out_path: str) -> None:
     """Write text to out_path, or to stdout for "-"."""
     if out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def _terms_summary(entry) -> list[dict]:
@@ -260,6 +281,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     _check_grid(ns.M)
     if ns.trials < 1:
         raise UsageError(f"--trials {ns.trials} must be at least 1")
+    if ns.seed < 0:
+        raise UsageError(f"--seed {ns.seed} must be non-negative")
     records = run_suite(ns.suite, trials=ns.trials, seed=ns.seed, M=ns.M)
     report = {
         "suite": ns.suite,
@@ -364,10 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         probe.add_argument("--config")
         known, _ = probe.parse_known_args(argv)
         if known.config:
-            values = _load_config(known.config)
-            for sp in subparsers:
-                dests = vars(sp.parse_known_args([])[0])
-                sp.set_defaults(**{k: v for k, v in values.items() if k in dests})
+            _load_config(known.config, subparsers)
         ns = parser.parse_args(argv)
         return ns.func(ns)
     except UsageError as exc:

@@ -12,11 +12,14 @@ The bookkeeping is centralized (see docs/measure_conversion.md):
 * order-2n form factor                   = (-1)^n/(n!)^2 * grid-product sum
 * order-(2n+1) form factor               = (-1)^(n+1)/(n!(n+1)!) * grid-product sum
 
-Every chain is read from the Hankel section P, Q of the chain kernel
-(see fredholm): closed chains are its power sums, and open chains are
-bilinear forms in the same moment basis, with the section taken at
-separation N+1.  The M-node grid products (quadrature.chain_integral,
-_f_2n_direct, _f_2n1_direct) remain as independent cross-checks.
+One reader, _section_terms, takes every term from the Hankel section
+P, Q of the chain kernel (see fredholm), whose weights params.regime
+picks: plain below the critical point, hat above.  Closed chains are its
+power sums, form factors follow from them by Newton's identities, and
+open chains are bilinear forms in the same moments, with the section
+taken at separation N+1.  The M-node grid products
+(quadrature.chain_integral, _f_2n_direct, _f_2n1_direct) remain as
+independent cross-checks.
 
 The odd-order signs are anchored end to end against the determinant
 route (both routes must produce the same signed number), which also
@@ -35,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegeneratePoints, MethodUnavailable, RegimeMismatch
-from .fredholm import KernelMatrix, build_kernel, ff_coeffs_complex
+from .fredholm import build_kernel, form_factors
 from .kernels import KernelSet, s_hat_infinity, s_infinity
 from .params import ModelParams, Regime
 from .quadrature import ContourGrid, make_grid
@@ -66,7 +69,7 @@ class ExpansionTerm:
     method: Method
 
 
-def _term(order: int, N: int, raw: complex, method: Method) -> ExpansionTerm:
+def _term(order: int, N: int, raw: complex, method: Method = Method.SECTION) -> ExpansionTerm:
     return ExpansionTerm(order=order, N=N, value=float(raw.real),
                          est_error=abs(raw.imag), method=method)
 
@@ -76,18 +79,51 @@ def _require_regime(params: ModelParams, regime: Regime, what: str) -> None:
         raise RegimeMismatch(f"{what} needs the {regime.value} regime")
 
 
-def _chain_weights(params: ModelParams, hat: bool):
-    ks = KernelSet(params)
-    if hat:
-        return ks.qq_hat, ks.pp_hat
-    return ks.qq, ks.pp
+def _section_terms(params: ModelParams, grid: ContourGrid, N: int, n_max: int,
+                   *parts: str) -> tuple[list, ...]:
+    """The named parts of the kernel section at N to order n_max, in the order asked.
+
+    "sums": p_n = tr(K^n), and "closed": -p_n/n, for n = 1..n_max; "form":
+    the form factors (-1)^n e_n for n = 0..n_max from the same power sums,
+    left complex for the odd form factors above T_c.  "open": the open
+    chains of separation N - 1, with x_k = m_pp(N - 1 + k) and
+    y_k = m_qq(N - 1 + k): phi_2n = -c y^T (QP)^(n-1) x below T_c
+    (n = 1..n_max), G_(2n+1) = -c x^T P (QP)^(n-1) x above (n = 0..n_max;
+    G_1 = -m_pphat(N - 2) needs no section).  No section is built at n_max = 0.
+    """
+    below = params.regime is Regime.BELOW
+    K = build_kernel(params, grid, N) if n_max else None
+    if "form" in parts and K is not None and n_max > len(K.matrix):
+        raise ValueError(f"n_max={n_max} exceeds the matrix size {len(K.matrix)}")
+    reads_sums = K is not None and {"sums", "closed", "form"}.intersection(parts)
+    sums = K.power_sums(n_max) if reads_sums else ()
+    p = [complex(v) for v in sums] if "sums" in parts or "closed" in parts else []
+    found = {"sums": p}
+    if "closed" in parts:
+        found["closed"] = [_term(2 * n, N, -p[n - 1] / n) for n in range(1, len(p) + 1)]
+    if "form" in parts:
+        found["form"] = form_factors(sums)
+    if "open" in parts:
+        chains = [] if below else [
+            _term(1, N - 1, -contour_moments(params, grid, "pp_hat", N - 2, 1)[0])]
+        if K is not None:
+            P, Q, odd, even, c = K.section
+            x = even[:len(P)]
+            # v runs through (QP)^(n-1) x below and P (QP)^(n-1) x above
+            left, v, A, B = (odd[:len(P)], x, Q, P) if below else (x, P @ x, P, Q)
+            for n in range(1, n_max + 1):
+                if n > 1:
+                    v = A @ (B @ v)
+                chains.append(_term(2 * n if below else 2 * n + 1, N - 1, -c * (left @ v)))
+        found["open"] = chains
+    return tuple([found[part] for part in parts])
 
 
 # ----------------------------------------------------------------------
 # chain terms
 # ----------------------------------------------------------------------
 
-def F_2n(params: ModelParams, grid: ContourGrid, N: int, n: int, hat: bool = False) -> ExpansionTerm:
+def F_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
     """Order-2n coefficient of the exponential expansion: -tr(K^n)/n.
 
     K is the chain kernel at separation N (build_kernel), whose n-th
@@ -95,9 +131,7 @@ def F_2n(params: ModelParams, grid: ContourGrid, N: int, n: int, hat: bool = Fal
     """
     if n < 1:
         raise ValueError("closed chains start at n=1")
-    _require_regime(params, Regime.ABOVE if hat else Regime.BELOW, "F_2n")
-    raw = -build_kernel(params, grid, N, hat=hat).trace_power(n) / n
-    return _term(2 * n, N, raw, Method.SECTION)
+    return _section_terms(params, grid, N, n, "closed")[0][n - 1]
 
 
 def Ftilde_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
@@ -110,51 +144,17 @@ def Ftilde_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> Expansi
     if n < 1:
         raise ValueError("closed chains start at n=1")
     _require_regime(params, Regime.BELOW, "Ftilde_2n")
-    here = build_kernel(params, grid, N).trace_power(n)
-    next_sep = build_kernel(params, grid, N + 1).trace_power(n)
-    raw = -(here - next_sep) / n
-    return _term(2 * n, N, raw, Method.SECTION)
+    here, next_sep = (_section_terms(params, grid, S, n, "sums")[0][n - 1] for S in (N, N + 1))
+    return _term(2 * n, N, -(here - next_sep) / n)
 
 
 def phi_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
-    """Order-2n term of the determinant-ratio series (open chain, 1/z ends).
-
-    With P, Q the section at N+1, x_k = m_qq(N+k) and y_k = m_pp(N+k),
-    the 2n-site open chain is c x^T (QP)^(n-1) y.
-    """
+    """Order-2n term of the determinant-ratio series: the 2n-site open chain
+    with 1/z ends, a bilinear form in the section at N+1."""
     if n < 1:
         raise ValueError("open ratio chains start at n=1")
     _require_regime(params, Regime.BELOW, "phi_2n")
-    P, Q, qq, pp, c = build_kernel(params, grid, N + 1).section
-    L = len(P)
-    v = pp[:L]
-    for _ in range(n - 1):
-        v = Q @ (P @ v)
-    raw = -c * (qq[:L] @ v)
-    return _term(2 * n, N, raw, Method.SECTION)
-
-
-def _odd_terms(params: ModelParams, grid: ContourGrid, N: int,
-               n_max: int) -> tuple[list[ExpansionTerm], KernelMatrix | None]:
-    """G_1..G_(2 n_max + 1) and, for n_max >= 1, the hat kernel at N+1.
-
-    G_1 = -m_pphat(N-1) needs no section.  Beyond it, with P, Q the hat
-    section at N+1 and x_k = m_pphat(N+k), the (2n+1)-site open chain is
-    c x^T P (QP)^(n-1) x; the kernel P Q comes with the terms so that the
-    odd form factors read the same section.
-    """
-    raws = [-contour_moments(params, grid, "pp_hat", N - 1, 1)[0]]
-    K = None
-    if n_max:
-        K = build_kernel(params, grid, N + 1, hat=True)
-        P, Q, _, pp, c = K.section
-        x = pp[:len(P)]
-        v = P @ x
-        for n in range(1, n_max + 1):
-            if n > 1:
-                v = P @ (Q @ v)
-            raws.append(-c * (x @ v))
-    return [_term(2 * n + 1, N, raw, Method.SECTION) for n, raw in enumerate(raws)], K
+    return _section_terms(params, grid, N + 1, n, "open")[0][n - 1]
 
 
 def G_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
@@ -169,20 +169,20 @@ def G_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTe
     if n < 0:
         raise ValueError("n must be non-negative")
     _require_regime(params, Regime.ABOVE, "G_2n1")
-    return _odd_terms(params, grid, N, n)[0][n]
+    return _section_terms(params, grid, N + 1, n, "open")[0][n]
 
 
 # ----------------------------------------------------------------------
 # form factors
 # ----------------------------------------------------------------------
 
-def _f_2n_direct(params: ModelParams, grid: ContourGrid, N: int, n: int, hat: bool) -> complex:
+def _f_2n_direct(params: ModelParams, grid: ContourGrid, N: int, n: int) -> complex:
     """Plain grid-product evaluation of the squared-determinant integrand."""
-    w_odd, w_even = _chain_weights(params, hat)
+    ks, suffix = KernelSet(params), "_hat" if params.regime is Regime.ABOVE else ""
     z = grid.nodes
     zn = z ** N
-    qo = grid.weights * w_odd(z) * zn
-    pe = grid.weights * w_even(z) * zn
+    qo = grid.weights * getattr(ks, "qq" + suffix)(z) * zn
+    pe = grid.weights * getattr(ks, "pp" + suffix)(z) * zn
     C2 = grid.cauchy_matrix() ** 2
     if n == 1:
         return -complex(qo @ C2 @ pe)
@@ -197,7 +197,7 @@ def _f_2n_direct(params: ModelParams, grid: ContourGrid, N: int, n: int, hat: bo
     return total / 4.0
 
 
-def f_2n(params: ModelParams, grid: ContourGrid, N: int, n: int, hat: bool = False,
+def f_2n(params: ModelParams, grid: ContourGrid, N: int, n: int,
          method: Method | str = "section") -> ExpansionTerm:
     """Order-2n form factor.
 
@@ -212,16 +212,13 @@ def f_2n(params: ModelParams, grid: ContourGrid, N: int, n: int, hat: bool = Fal
         raise ValueError("f_2n takes method 'section' or 'direct'")
     if n < 0:
         raise ValueError("n must be non-negative")
-    _require_regime(params, Regime.ABOVE if hat else Regime.BELOW, "f_2n")
     if n == 0:
         return ExpansionTerm(order=0, N=N, value=1.0, est_error=0.0, method=method)
     if method is Method.DIRECT:
         if n > 2:
             raise MethodUnavailable("direct grid products are limited to n <= 2")
-        raw = _f_2n_direct(params, grid, N, n, hat)
-    else:
-        raw = ff_coeffs_complex(build_kernel(params, grid, N, hat=hat), n)[n]
-    return _term(2 * n, N, raw, method)
+        return _term(2 * n, N, _f_2n_direct(params, grid, N, n), method)
+    return _term(2 * n, N, _section_terms(params, grid, N, n, "form")[0][n])
 
 
 def _f_2n1_direct(params: ModelParams, grid: ContourGrid, N: int, n: int) -> complex:
@@ -241,7 +238,8 @@ def _f_2n1_direct(params: ModelParams, grid: ContourGrid, N: int, n: int) -> com
     return complex(total) / 2.0
 
 
-def _odd_form_factors(g_terms: list[ExpansionTerm], hat_ff: list[complex], N: int) -> list[ExpansionTerm]:
+def _odd_form_factors(g_terms: list[ExpansionTerm], hat_ff: list[complex],
+                      N: int) -> list[ExpansionTerm]:
     """Order-(2n+1) form factors for n = 0..len(g_terms)-1.
 
     Each is the convolution sum_k G_(2k+1) f_hat(2(n-k)) of the open-chain
@@ -276,9 +274,8 @@ def f_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int,
         if n > 1:
             raise MethodUnavailable("direct grid products are limited to n <= 1")
         return _term(2 * n + 1, N, _f_2n1_direct(params, grid, N, n), method)
-    gs, K = _odd_terms(params, grid, N, n)
-    hat_ff = ff_coeffs_complex(K, n) if n else [1.0 + 0.0j]
-    return _odd_form_factors(gs, hat_ff, N)[n]
+    chains, form = _section_terms(params, grid, N + 1, n, "open", "form")
+    return _odd_form_factors(chains, form, N)[n]
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +322,7 @@ def multiplicity(p: Partition) -> Fraction:
     return Fraction(math.factorial(p.n), denom)
 
 
-def f_from_F(params: ModelParams, grid: ContourGrid, N: int, n: int,
-             hat: bool = False) -> ExpansionTerm:
+def f_from_F(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
     """Form factor assembled from closed-chain coefficients over partitions.
 
     Exponentiating the chain series and collecting equal total orders
@@ -334,14 +330,14 @@ def f_from_F(params: ModelParams, grid: ContourGrid, N: int, n: int,
     """
     if n == 0:
         return ExpansionTerm(order=0, N=N, value=1.0, est_error=0.0, method=Method.COMBINATION)
-    fvals = {k: F_2n(params, grid, N, k, hat=hat) for k in range(1, n + 1)}
+    F, = _section_terms(params, grid, N, n, "closed")
     total = 0.0
     for p in partitions(n):
         piece = 1.0
         for part, mult in p.pairs:
-            piece *= fvals[part].value ** mult / math.factorial(mult)
+            piece *= F[part - 1].value ** mult / math.factorial(mult)
         total += piece
-    est = max(t.est_error for t in fvals.values())
+    est = max(t.est_error for t in F)
     return ExpansionTerm(order=2 * n, N=N, value=float(total), est_error=est,
                          method=Method.COMBINATION)
 
@@ -471,38 +467,30 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
         return ComparisonEntry(N=N, route=route.value, value=value, est_error=0.0,
                                terms=[], M=grid.M, n_max=n_max)
 
-    # one kernel section per entry (plain at N below, hat at N+1 above);
-    # both expansions read its power sums, and none is built at n_max=0
+    # one kernel section per entry (plain at N below, hat at N+1 above),
+    # read for the route's part only, and none built at n_max=0; series
+    # holds the closed-chain terms (exp) or the complex form factors (ff)
+    part = "closed" if route is Route.EXPONENTIAL else "form"
     if below:
+        (series,) = _section_terms(params, grid, N, n_max, part)
         g_terms = []
-        K = build_kernel(params, grid, N) if n_max else None
     else:
-        g_terms, K = _odd_terms(params, grid, N, n_max)
+        series, g_terms = _section_terms(params, grid, N + 1, n_max, part, "open")
     prefactor = s_infinity(params) if below else s_hat_infinity(params)
     if route is Route.EXPONENTIAL:
-        p = K.power_sums(n_max) if K is not None else []
-        f_terms = [_term(2 * n, K.N, -p[n - 1] / n, Method.SECTION)
-                   for n in range(1, n_max + 1)]
-        exp_part = math.exp(sum(t.value for t in f_terms))
+        exp_part = math.exp(sum(t.value for t in series))
+        last = abs(series[-1].value) if series else 0.0
         if below:
-            terms = f_terms
-            value = prefactor * exp_part
-            est = abs(value) * abs(f_terms[-1].value) if f_terms else 0.0
+            terms, value = series, prefactor * exp_part
+            est = abs(value) * last
         else:
-            terms = g_terms + f_terms
+            terms = g_terms + series
             value = -prefactor * sum(t.value for t in g_terms) * exp_part
-            est = prefactor * exp_part * abs(g_terms[-1].value)
-            if f_terms:
-                est += abs(value) * abs(f_terms[-1].value)
+            est = prefactor * exp_part * abs(g_terms[-1].value) + abs(value) * last
     else:
-        ff = ff_coeffs_complex(K, n_max) if K is not None else [1.0 + 0.0j]
-        if below:
-            terms = [_term(2 * n, N, ff[n], Method.SECTION) for n in range(n_max + 1)]
-            value = prefactor * sum(t.value for t in terms)
-            est = prefactor * abs(terms[-1].value) if n_max >= 1 else 0.0
-        else:
-            terms = _odd_form_factors(g_terms, ff, N)
-            value = -prefactor * sum(t.value for t in terms)
-            est = prefactor * abs(terms[-1].value)
+        terms = ([_term(2 * n, N, c) for n, c in enumerate(series)] if below
+                 else _odd_form_factors(g_terms, series, N))
+        value = (prefactor if below else -prefactor) * sum(t.value for t in terms)
+        est = prefactor * abs(terms[-1].value) if n_max or not below else 0.0
     return ComparisonEntry(N=N, route=route.value, value=float(value),
                            est_error=float(est), terms=terms, M=grid.M, n_max=n_max)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RegimeMismatch, SpectralRadiusExceeded
+from .errors import SpectralRadiusExceeded
 from .params import ModelParams, Regime
 from .quadrature import ContourGrid, r_min
 from .toeplitz import contour_moments
@@ -41,7 +41,6 @@ class KernelMatrix:
 
     matrix: np.ndarray
     N: int
-    hat: bool
     M: int
     section: tuple = field(default=(), repr=False, compare=False)
 
@@ -80,27 +79,24 @@ def _section_size(params: ModelParams, M: int) -> int:
     return min(M, math.ceil(-53.0 * math.log(2.0) / (2.0 * math.log(r_min(params)))) + 2)
 
 
-def _chain_section(params: ModelParams, grid: ContourGrid, N: int, hat: bool):
+def _chain_section(params: ModelParams, grid: ContourGrid, N: int):
     """Hankel factors P, Q of the chain kernel at separation N.
 
+    The weights are odd, even = qq, pp below T_c and qq_hat, pp_hat above.
     Returns (P, Q, odd, even, c) with odd[j] = m_odd(N - 1 + j) and
-    even[j] = m_even(N - 1 + j) for j < 2L, so P = c odd[1 + s + t];
-    the leading L entries are the end vectors of the open chains at
-    separation N - 1.
+    even[j] = m_even(N - 1 + j) for j < 2L, so P = c odd[1 + s + t]; the
+    leading L entries are the end vectors of the open chains at N - 1.
     """
-    if hat and params.regime is not Regime.ABOVE:
-        raise RegimeMismatch("hat kernels require the above regime")
-    if not hat and params.regime is not Regime.BELOW:
-        raise RegimeMismatch("plain kernels require the below regime")
+    suffix = "_hat" if params.regime is Regime.ABOVE else ""
     L = _section_size(params, grid.M)
     c = 1.0 / (1.0 - grid.r ** (2 * grid.M))
-    odd = contour_moments(params, grid, "qq_hat" if hat else "qq", N - 1, 2 * L)
-    even = contour_moments(params, grid, "pp_hat" if hat else "pp", N - 1, 2 * L)
+    odd = contour_moments(params, grid, "qq" + suffix, N - 1, 2 * L)
+    even = contour_moments(params, grid, "pp" + suffix, N - 1, 2 * L)
     idx = 1 + np.add.outer(np.arange(L), np.arange(L))
     return c * odd[idx], c * even[idx], odd, even, c
 
 
-def build_kernel(params: ModelParams, grid: ContourGrid, N: int, hat: bool = False) -> KernelMatrix:
+def build_kernel(params: ModelParams, grid: ContourGrid, N: int) -> KernelMatrix:
     """The L x L section P Q of the closed-chain kernel at separation N.
 
     Its power sums equal those of the M x M grid kernel A B with
@@ -108,9 +104,9 @@ def build_kernel(params: ModelParams, grid: ContourGrid, N: int, hat: bool = Fal
     B[k, j] = u_k W_even(z_k) z_k^N / (1 - z_k z_j), up to moments
     below the rounding level (exactly, when L = M).
     """
-    section = _chain_section(params, grid, N, hat)
+    section = _chain_section(params, grid, N)
     P, Q = section[:2]
-    return KernelMatrix(matrix=P @ Q, N=N, hat=hat, M=grid.M, section=section)
+    return KernelMatrix(matrix=P @ Q, N=N, M=grid.M, section=section)
 
 
 def log_det_expansion(K: KernelMatrix) -> float:
@@ -126,8 +122,9 @@ def log_det_expansion(K: KernelMatrix) -> float:
     return float(logabs)
 
 
-def _newton_elementary(power_sums: np.ndarray, n_max: int) -> np.ndarray:
-    """e_0..e_n from power sums p_1..p_n via Newton's identities."""
+def form_factors(power_sums: list[complex] | np.ndarray) -> list[complex]:
+    """(-1)^n e_n for n = 0..len(power_sums), the form factors, by Newton's identities."""
+    n_max = len(power_sums)
     e = np.zeros(n_max + 1, dtype=complex)
     e[0] = 1.0
     for n in range(1, n_max + 1):
@@ -135,23 +132,16 @@ def _newton_elementary(power_sums: np.ndarray, n_max: int) -> np.ndarray:
         for k in range(1, n + 1):
             acc += (-1) ** (k - 1) * e[n - k] * power_sums[k - 1]
         e[n] = acc / n
-    return e
+    return [complex((-1) ** n * e[n]) for n in range(n_max + 1)]
 
 
 def ff_coeffs_complex(K: KernelMatrix, n_max: int) -> list[complex]:
-    """Signed elementary symmetric functions (-1)^n e_n of the spectrum.
-
-    Newton's identities applied to the power sums tr(K), ..., tr(K^n_max);
-    no eigendecomposition is involved.  Returned with their
-    (rounding-level) imaginary residues so callers can report them; see
-    ff_coeffs for the real-valued convenience form.
-    """
+    """form_factors of K for n = 0..n_max, with their rounding-level imaginary residues."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if n_max > len(K.matrix):
         raise ValueError(f"n_max={n_max} exceeds the matrix size {len(K.matrix)}")
-    e = _newton_elementary(K.power_sums(n_max), n_max)
-    return [complex((-1) ** n * e[n]) for n in range(n_max + 1)]
+    return form_factors(K.power_sums(n_max))
 
 
 def ff_coeffs(K: KernelMatrix, n_max: int) -> list[float]:

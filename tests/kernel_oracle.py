@@ -9,14 +9,16 @@ chain on the grid, so its power sums are the closed-chain reference.
 
 import numpy as np
 
-from isingcorr import KernelSet
+from isingcorr import KernelSet, Regime
 
 
-def grid_kernel(params, grid, N, hat=False):
+def grid_kernel(params, grid, N):
+    """The grid kernel with the regime's weights: plain below, hat above."""
     ks = KernelSet(params)
     z = grid.nodes
-    w_odd = (ks.qq_hat if hat else ks.qq)(z)
-    w_even = (ks.pp_hat if hat else ks.pp)(z)
+    above = params.regime is Regime.ABOVE
+    w_odd = (ks.qq_hat if above else ks.qq)(z)
+    w_even = (ks.pp_hat if above else ks.pp)(z)
     zn = z ** N
     C = grid.cauchy_matrix()
     A = (grid.weights * w_odd * zn)[:, None] * C

@@ -226,33 +226,78 @@ def test_bad_route_and_bad_N(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["table", "--diagonal", "--alpha2", "0.5", "--N", "2", "--M", "100"],
-    ["verify", "--suite", "fredholm", "--M", "100"],
-    ["sweep", "--diagonal", "--alpha2", "0.5", "--N", "2", "--M-list", "16,100"],
-    ["--config", "{cfg}", "table", "--diagonal", "--alpha2", "0.5", "--N", "2"],
-    ["table", "--diagonal", "--alpha2", "0.5", "--N", "1..x"],
-    ["table", "--diagonal", "--alpha2", "0.5", "--N", "3", "--M-max", "100",
-     "--tol", "1e-13", "--routes", "det"],
-    ["table", "--diagonal", "--alpha2", "0.5", "--N", "3", "--M", "128", "--M-max", "64",
-     "--tol", "1e-13", "--routes", "det"],
-    ["table", "--diagonal", "--alpha2", "0.5", "--N", "3", "--tol", "-1", "--routes", "det"],
-    ["table", "--diagonal", "--alpha2", "0.5", "--N", "3", "--tol", "nan", "--routes", "det"],
-    ["verify", "--suite", "cauchy", "--trials", "0"],
+@pytest.mark.parametrize("argv, config", [
+    (["table", "--diagonal", "--alpha2", "0.5", "--N", "2", "--M", "100"], ""),
+    (["verify", "--suite", "fredholm", "--M", "100"], ""),
+    (["sweep", "--diagonal", "--alpha2", "0.5", "--N", "2", "--M-list", "16,100"], ""),
+    (["--config", "{cfg}", "table", "--diagonal", "--alpha2", "0.5", "--N", "2"], "orders = 7\n"),
+    (["table", "--diagonal", "--alpha2", "0.5", "--N", "1..x"], ""),
+    (["table", "--diagonal", "--alpha2", "0.5", "--N", "3", "--M-max", "100",
+      "--tol", "1e-13", "--routes", "det"], ""),
+    (["table", "--diagonal", "--alpha2", "0.5", "--N", "3", "--M", "128", "--M-max", "64",
+      "--tol", "1e-13", "--routes", "det"], ""),
+    (["table", "--diagonal", "--alpha2", "0.5", "--N", "3", "--tol", "-1", "--routes", "det"], ""),
+    (["table", "--diagonal", "--alpha2", "0.5", "--N", "3", "--tol", "nan", "--routes", "det"], ""),
+    (["verify", "--suite", "cauchy", "--trials", "0"], ""),
+    (["verify", "--suite", "cauchy", "--seed", "-1"], ""),
+    (["--config", "{cfg}", "table", "--diagonal", "--alpha2", "0.5", "--N", "2"], "format = xml\n"),
+    (["--config", "{cfg}", "table", "--N", "2"], "direct = 0.2\n"),
+    (["--config", "{cfg}", "table", "--N", "2"], "diagonal = maybe\nalpha2 = 0.5\n"),
+    (["--config", "{cfg}", "verify", "--suite", "cauchy"], "seed = x\n"),
 ], ids=["table-M", "verify-M", "sweep-M-list", "config-orders", "N-spec",
-        "M-max-not-power-of-two", "M-max-below-M", "tol-negative", "tol-nan", "trials-zero"])
-def test_bad_grid_or_order_exits_two(capsys, tmp_path, monkeypatch, argv):
-    """Bad flags are usage errors found before any work: one stderr line, exit 2."""
+        "M-max-not-power-of-two", "M-max-below-M", "tol-negative", "tol-nan", "trials-zero",
+        "seed-negative", "config-format", "config-direct-arity", "config-boolean",
+        "config-type"])
+def test_bad_grid_or_order_exits_two(capsys, tmp_path, monkeypatch, argv, config):
+    """Bad flags and config values are usage errors found before any work:
+    one stderr line, exit 2.  Config values get the checks of their flags."""
     def forbidden(*args, **kwargs):
         raise AssertionError("work started")
     monkeypatch.setattr(cli, "correlation", forbidden)
     monkeypatch.setattr(cli, "run_suite", forbidden)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("orders = 7\n")    # config values skip argparse's choices
+    cfg.write_text(config)
     code, _, err = run(capsys, *[a.format(cfg=cfg) for a in argv])
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("corr: ")
     assert "Traceback" not in err
+
+
+def test_missing_config_file_exits_two(capsys, tmp_path):
+    code, out, err = run(capsys, "--config", str(tmp_path / "absent.cfg"), "table",
+                         "--diagonal", "--alpha2", "0.5", "--N", "2")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("corr: cannot read config ")
+
+
+def test_unwritable_out_path_exits_two(capsys, tmp_path):
+    """Exit 1 stays the code of a failed identity; a file error is exit 2."""
+    out_path = tmp_path / "no_such_dir" / "report.json"
+    for argv in (["table", "--diagonal", "--alpha2", "0.5", "--N", "2", "--routes", "det"],
+                 ["verify", "--suite", "szego"]):
+        code, _, err = run(capsys, *argv, "--out", str(out_path))
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("corr: cannot write ")
+        assert not out_path.exists()
+
+
+def test_config_values_take_their_flags_types(capsys, tmp_path, monkeypatch):
+    """A config file sets the same values the flags would: typed, arity and all."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("direct = 0.2 3.0\nN = 1..2\nroutes = det\nformat = json\n"
+                   "orders = 2\nM = 128\n")
+    seen = {}
+    table = cli.cmd_table
+
+    def spy(ns):
+        seen.update(vars(ns))
+        return table(ns)
+
+    monkeypatch.setattr(cli, "cmd_table", spy)
+    code, out, _ = run(capsys, "--config", str(cfg), "table")
+    assert code == 0
+    assert seen["direct"] == [0.2, 3.0] and seen["orders"] == 2 and seen["M"] == 128
+    assert [row["N"] for row in json.loads(out)["rows"]] == [1, 2]
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):

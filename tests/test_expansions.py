@@ -43,16 +43,12 @@ def test_F_hat_equals_plain_for_diagonal_inversion(above, above_grid):
     assert grid.r == above_grid.r
     for n in (1, 2):
         for N in (1, 3):
-            hat = ic.F_2n(above, above_grid, N, n, hat=True).value
+            hat = ic.F_2n(above, above_grid, N, n).value
             plain = ic.F_2n(inverted, grid, N, n).value
             assert abs(hat - plain) < 1e-13
 
 
-def test_F_regime_guards(below, below_grid, above, above_grid):
-    with pytest.raises(ic.RegimeMismatch):
-        ic.F_2n(below, below_grid, 1, 1, hat=True)
-    with pytest.raises(ic.RegimeMismatch):
-        ic.F_2n(above, above_grid, 1, 1, hat=False)
+def test_F_rejects_order_zero(below, below_grid):
     with pytest.raises(ValueError):
         ic.F_2n(below, below_grid, 1, 0)
 
@@ -211,20 +207,20 @@ def test_f4_from_partition_relation(below, below_grid):
 
 
 def test_f_direct_vs_section(below, below_grid, above, above_grid):
-    for params, grid, hat in ((below, below_grid, False), (above, above_grid, True)):
+    for params, grid in ((below, below_grid), (above, above_grid)):
         for n in (1, 2):
-            d = ic.f_2n(params, grid, 2, n, hat=hat, method="direct")
-            e = ic.f_2n(params, grid, 2, n, hat=hat, method="section")
+            d = ic.f_2n(params, grid, 2, n, method="direct")
+            e = ic.f_2n(params, grid, 2, n, method="section")
             assert abs(d.value - e.value) < 1e-10
             assert d.method is Method.DIRECT and e.method is Method.SECTION
 
 
 def test_f_default_is_section(below, below_grid, above, above_grid):
     """Without a method, f_2n reads the kernel section; "direct" is opt-in."""
-    for params, grid, hat in ((below, below_grid, False), (above, above_grid, True)):
+    for params, grid in ((below, below_grid), (above, above_grid)):
         for n in range(4):
-            default = ic.f_2n(params, grid, 2, n, hat=hat)
-            section = ic.f_2n(params, grid, 2, n, hat=hat, method="section")
+            default = ic.f_2n(params, grid, 2, n)
+            section = ic.f_2n(params, grid, 2, n, method="section")
             assert default == section
             assert default.method is Method.SECTION
 
@@ -414,7 +410,7 @@ def test_expansion_terms_are_real(below, below_grid, above, above_grid):
 
 
 def test_term_magnitudes_decrease_with_order(below_grid):
-    for alpha2, hat in ((0.5, False), (0.6, False)):
+    for alpha2 in (0.5, 0.6):
         params = ic.diagonal_from_alpha2(alpha2)
         grid = ic.make_grid(params, 64)
         for N in (1, 2):
@@ -427,26 +423,25 @@ def test_term_magnitudes_decrease_with_order(below_grid):
         assert mags[0] > mags[1] > mags[2]
 
 
-def test_correlation_terms_match_per_order_functions(below, below_grid, above, above_grid):
-    """The one-kernel assembly in correlation and the public per-order terms agree."""
-    def same(got, want):
-        assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+def test_correlation_terms_match_per_order_functions(below, above):
+    """correlation and the public per-order terms read one section helper,
+    so their terms are equal, values, residues and labels alike."""
+    for M in (64, 256):
+        below_grid, above_grid = ic.make_grid(below, M), ic.make_grid(above, M)
+        for N in (1, 5):
+            for n_max in range(4):
+                exp_terms = ic.correlation(below, N, "exp", n_max, below_grid).terms
+                ff_terms = ic.correlation(below, N, "ff", n_max, below_grid).terms
+                assert exp_terms == [ic.F_2n(below, below_grid, N, n)
+                                     for n in range(1, n_max + 1)]
+                assert ff_terms == [ic.f_2n(below, below_grid, N, n) for n in range(n_max + 1)]
 
-    for N in (1, 5):
-        exp_terms = ic.correlation(below, N, "exp", 3, below_grid).terms
-        ff_terms = ic.correlation(below, N, "ff", 3, below_grid).terms
-        for n in range(1, 4):
-            same(exp_terms[n - 1].value, ic.F_2n(below, below_grid, N, n).value)
-        for n in range(4):
-            same(ff_terms[n].value, ic.f_2n(below, below_grid, N, n, method="section").value)
-
-        exp_terms = ic.correlation(above, N, "exp", 3, above_grid).terms
-        ff_terms = ic.correlation(above, N, "ff", 3, above_grid).terms
-        for n in range(4):
-            same(exp_terms[n].value, ic.G_2n1(above, above_grid, N, n).value)
-            same(ff_terms[n].value, ic.f_2n1(above, above_grid, N, n).value)
-        for n in range(1, 4):
-            same(exp_terms[3 + n].value, ic.F_2n(above, above_grid, N + 1, n, hat=True).value)
+                exp_terms = ic.correlation(above, N, "exp", n_max, above_grid).terms
+                ff_terms = ic.correlation(above, N, "ff", n_max, above_grid).terms
+                assert exp_terms == ([ic.G_2n1(above, above_grid, N, n) for n in range(n_max + 1)]
+                                     + [ic.F_2n(above, above_grid, N + 1, n)
+                                        for n in range(1, n_max + 1)])
+                assert ff_terms == [ic.f_2n1(above, above_grid, N, n) for n in range(n_max + 1)]
 
 
 def test_correlation_terms_carry_their_method(below, below_grid, above, above_grid):

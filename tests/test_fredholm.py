@@ -16,13 +16,6 @@ def row_params(alpha1, alpha2):
                              -math.log(alpha1 * alpha2) / 4.0)
 
 
-def test_build_kernel_regime_guards(below, below_grid, above, above_grid):
-    with pytest.raises(ic.RegimeMismatch):
-        ic.build_kernel(below, below_grid, 2, hat=True)
-    with pytest.raises(ic.RegimeMismatch):
-        ic.build_kernel(above, above_grid, 2, hat=False)
-
-
 def test_trace_matches_chain(below, below_grid):
     """Section traces are the closed chains: the grid kernel's power sums."""
     K = ic.build_kernel(below, below_grid, 2)
@@ -40,9 +33,9 @@ def test_degenerate_traces_vanish(degenerate):
 
 
 def test_spectral_radius_below_one(below, below_grid, above, above_grid):
-    for params, grid, hat in ((below, below_grid, False), (above, above_grid, True)):
+    for params, grid in ((below, below_grid), (above, above_grid)):
         for N in (1, 2, 3):
-            K = ic.build_kernel(params, grid, N, hat=hat)
+            K = ic.build_kernel(params, grid, N)
             assert np.max(np.abs(np.linalg.eigvals(K.matrix))) < 1.0
 
 
@@ -54,11 +47,11 @@ def test_log_det_route_hits_determinant(below, below_grid):
 
 def test_log_det_spectral_radius_guard():
     """Raised when det(I - K) is not positive, whatever the spectral radius."""
-    K = KernelMatrix(matrix=np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex), N=0, hat=False, M=4)
+    K = KernelMatrix(matrix=np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex), N=0, M=4)
     with pytest.raises(ic.SpectralRadiusExceeded):
         ic.log_det_expansion(K)
     # rho(2 I) = 2, but det(I - 2 I) = 1 has a real log
-    K = KernelMatrix(matrix=np.eye(4, dtype=complex) * 2.0, N=0, hat=False, M=4)
+    K = KernelMatrix(matrix=np.eye(4, dtype=complex) * 2.0, N=0, M=4)
     assert ic.log_det_expansion(K) == 0.0
 
 
@@ -89,13 +82,13 @@ def test_route_equivalence_orders_up_to_three(below_grid):
 
 def test_eigen_and_trace_methods_agree(below, above):
     """Newton's identities on the power traces match the spectrum's e_n."""
-    for params, hat in ((below, False), (above, True)):
+    for params in (below, above):
         for M in (64, 256):
-            K = ic.build_kernel(params, ic.make_grid(params, M), 1, hat=hat)
+            K = ic.build_kernel(params, ic.make_grid(params, M), 1)
             # coefficient of lambda^(M-n) in prod(lambda - lambda_i) is (-1)^n e_n
             from_eigs = np.poly(np.linalg.eigvals(K.matrix))
             for n, value in enumerate(ic.ff_coeffs(K, 3)):
-                assert abs(value - from_eigs[n].real) < 1e-14, (hat, M, n)
+                assert abs(value - from_eigs[n].real) < 1e-14, (params.regime, M, n)
 
 
 def test_newton_vs_characteristic_polynomial(below, below_grid):
@@ -121,7 +114,7 @@ def test_exp_series_duality(below, below_grid):
 
 
 def test_ff_complex_residues_tiny(above, above_grid):
-    K = ic.build_kernel(above, above_grid, 2, hat=True)
+    K = ic.build_kernel(above, above_grid, 2)
     for c in ff_coeffs_complex(K, 3):
         assert abs(c.imag) < 1e-12
 
@@ -148,12 +141,11 @@ def test_section_power_sums_match_grid_kernel():
     points = (ic.diagonal_from_alpha2(0.5), row_params(0.2, 0.55),
               ic.diagonal_from_alpha2(2.5), row_params(0.25, 3.5))
     for params in points:
-        hat = params.regime is ic.Regime.ABOVE
         grid = ic.make_grid(params, 256)
         for N in range(1, 9):
-            K = ic.build_kernel(params, grid, N, hat=hat)
+            K = ic.build_kernel(params, grid, N)
             assert len(K.matrix) < grid.M and K.M == grid.M
-            gap = np.max(np.abs(K.power_sums(3) - power_sums(grid_kernel(params, grid, N, hat), 3)))
+            gap = np.max(np.abs(K.power_sums(3) - power_sums(grid_kernel(params, grid, N), 3)))
             assert gap < 1e-16, (params.alpha1, params.alpha2, N, gap)
 
 
@@ -161,12 +153,11 @@ def test_section_is_the_grid_kernel_when_L_equals_M():
     """Near the critical point the section is the whole identity, L = M."""
     for alpha2 in (0.9, 1.2):
         params = ic.diagonal_from_alpha2(alpha2)
-        hat = params.regime is ic.Regime.ABOVE
         grid = ic.make_grid(params, 64)
         for N in (1, 4, 8):
-            K = ic.build_kernel(params, grid, N, hat=hat)
+            K = ic.build_kernel(params, grid, N)
             assert len(K.matrix) == 64
-            oracle = grid_kernel(params, grid, N, hat)
+            oracle = grid_kernel(params, grid, N)
             assert np.max(np.abs(K.power_sums(3) - power_sums(oracle, 3))) < 1e-14
             from_eigs = np.poly(np.linalg.eigvals(oracle))[:4].real
             assert np.max(np.abs(np.array(ic.ff_coeffs(K, 3)) - from_eigs)) < 1e-14
@@ -196,14 +187,14 @@ def test_expansion_routes_make_no_grid_matrix(monkeypatch, below, below_grid, ab
         for n_max in (0, 3):
             ic.correlation(below, 3, route, n_max, below_grid)
             ic.correlation(above, 3, route, n_max, above_grid)
-    ic.build_kernel(above, above_grid, 2, hat=True)
+    ic.build_kernel(above, above_grid, 2)
     for n in (1, 2, 3):
         ic.F_2n(below, below_grid, 2, n)
-        ic.F_2n(above, above_grid, 2, n, hat=True)
+        ic.F_2n(above, above_grid, 2, n)
         ic.Ftilde_2n(below, below_grid, 2, n)
         ic.phi_2n(below, below_grid, 2, n)
         ic.f_2n(below, below_grid, 2, n)
-        ic.f_2n(above, above_grid, 2, n, hat=True)
+        ic.f_2n(above, above_grid, 2, n)
     for n in (0, 1, 2, 3):
         ic.G_2n1(above, above_grid, 2, n)
         ic.f_2n1(above, above_grid, 2, n)
