@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import errno
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -209,6 +211,26 @@ def _write_report(rows: list[dict], header: dict, fmt: str, out_path: str) -> No
     _emit(text, out_path)
 
 
+def _check_out(out_path: str) -> None:
+    """Refuse an --out path that cannot be written, before any work and
+    without creating it: an existing path must be a writable file, a new
+    one needs a writable directory.  "-" is stdout."""
+    if out_path == "-":
+        return
+    folder = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif not os.path.exists(folder):
+        code = errno.ENOENT
+    elif not os.path.isdir(folder):
+        code = errno.ENOTDIR
+    elif not os.access(out_path if os.path.exists(out_path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {out_path}: {os.strerror(code)}")
+
+
 def _emit(text: str, out_path: str) -> None:
     """Write text to out_path, or to stdout for "-"."""
     if out_path == "-":
@@ -235,6 +257,7 @@ def cmd_table(ns: argparse.Namespace) -> int:
     seps = _parse_N(ns.N)
     routes = _parse_routes(ns.routes)
     _check_grid(ns.M, ns.orders)
+    _check_out(ns.out)
     if ns.tol is not None:
         if not (math.isfinite(ns.tol) and ns.tol >= 0.0):
             raise UsageError(f"--tol {ns.tol} must be finite and >= 0")
@@ -283,6 +306,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         raise UsageError(f"--trials {ns.trials} must be at least 1")
     if ns.seed < 0:
         raise UsageError(f"--seed {ns.seed} must be non-negative")
+    _check_out(ns.out)
     records = run_suite(ns.suite, trials=ns.trials, seed=ns.seed, M=ns.M)
     report = {
         "suite": ns.suite,
@@ -308,6 +332,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         settings = [_check_grid(M, ns.orders, "--M-list") for M in _parse_int_list(ns.M_list, "M")]
     else:
         settings = [_check_grid(ns.M, n) for n in _parse_int_list(ns.order_list, "order")]
+    _check_out(ns.out)
     rows = []
     for N in seps:
         for route in routes:

@@ -17,9 +17,10 @@ P, Q of the chain kernel (see fredholm), whose weights params.regime
 picks: plain below the critical point, hat above.  Closed chains are its
 power sums, form factors follow from them by Newton's identities, and
 open chains are bilinear forms in the same moments, with the section
-taken at separation N+1.  The M-node grid products
-(quadrature.chain_integral, _f_2n_direct, _f_2n1_direct) remain as
-independent cross-checks.
+taken at separation N+1.  Sections and the lone moment G_1 are read from
+the grid's one moment table (toeplitz.moment_table).  The M-node grid
+products (quadrature.chain_integral, _f_2n_direct, _f_2n1_direct) remain
+as independent cross-checks.
 
 The odd-order signs are anchored end to end against the determinant
 route (both routes must produce the same signed number), which also
@@ -42,7 +43,7 @@ from .fredholm import build_kernel, form_factors
 from .kernels import KernelSet, s_hat_infinity, s_infinity
 from .params import ModelParams, Regime
 from .quadrature import ContourGrid, make_grid
-from .toeplitz import contour_moments, det_DN
+from .toeplitz import det_DN, moment_table
 
 
 class Method(Enum):
@@ -89,7 +90,8 @@ def _section_terms(params: ModelParams, grid: ContourGrid, N: int, n_max: int,
     chains of separation N - 1, with x_k = m_pp(N - 1 + k) and
     y_k = m_qq(N - 1 + k): phi_2n = -c y^T (QP)^(n-1) x below T_c
     (n = 1..n_max), G_(2n+1) = -c x^T P (QP)^(n-1) x above (n = 0..n_max;
-    G_1 = -m_pphat(N - 2) needs no section).  No section is built at n_max = 0.
+    G_1 = -m_pphat(N - 2) is one entry of the moment table).  No section
+    is built at n_max = 0.
     """
     below = params.regime is Regime.BELOW
     K = build_kernel(params, grid, N) if n_max else None
@@ -104,13 +106,12 @@ def _section_terms(params: ModelParams, grid: ContourGrid, N: int, n_max: int,
     if "form" in parts:
         found["form"] = form_factors(sums)
     if "open" in parts:
-        chains = [] if below else [
-            _term(1, N - 1, -contour_moments(params, grid, "pp_hat", N - 2, 1)[0])]
+        # G_1 = -m_pphat(N - 2), entry N - 1 of the table read at separation N - 1
+        chains = [] if below else [_term(1, N - 1, -moment_table(params, grid, N - 1).even[N - 1])]
         if K is not None:
-            P, Q, odd, even, c = K.section
-            x = even[:len(P)]
+            P, Q, y, x, c = K.section
             # v runs through (QP)^(n-1) x below and P (QP)^(n-1) x above
-            left, v, A, B = (odd[:len(P)], x, Q, P) if below else (x, P @ x, P, Q)
+            left, v, A, B = (y, x, Q, P) if below else (x, P @ x, P, Q)
             for n in range(1, n_max + 1):
                 if n > 1:
                     v = A @ (B @ v)

@@ -10,6 +10,9 @@ m(j) = sum_k u_k w(z_k) z_k^j of the two weights: the finite section of
 det(I - H(b) H(c~)) in the Borodin-Okounkov formula.  The moments decay
 like r_min^j, so the section is cut at the size L where r_min^(2L)
 reaches the float64 rounding level (L = M is the exact identity).
+Separation enters only as the offset N: every section of a grid is a
+window into its one moment table (toeplitz.moment_table), which holds
+the two moment sequences, c, L and the Hankel offsets.
 
 The section's power sums p_n = tr((PQ)^n) carry the whole family: the
 order-2n closed-chain coefficient is -p_n/n, and Newton's identities
@@ -20,22 +23,21 @@ series of det(I - K), which one LU of the section sums to all orders.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SpectralRadiusExceeded
-from .params import ModelParams, Regime
-from .quadrature import ContourGrid, r_min
-from .toeplitz import contour_moments
+from .params import ModelParams
+from .quadrature import ContourGrid
+from .toeplitz import moment_table
 
 
 @dataclass
 class KernelMatrix:
     """Chain kernel section (L x L) of the M-node grid, immutable after build.
 
-    section holds the factors it was multiplied from, (P, Q, odd, even, c)
+    section holds the factors it was multiplied from, (P, Q, x_odd, x_even, c)
     as returned by _chain_section; the open chains read them.
     """
 
@@ -70,30 +72,18 @@ class KernelMatrix:
         return complex(self.power_sums(n)[n - 1])
 
 
-def _section_size(params: ModelParams, M: int) -> int:
-    """L = min(M, ceil(ln 2^-53 / (2 ln r_min)) + 2).
-
-    Positive moments decay like r_min^j, so entries of P Q beyond L
-    fall below the float64 rounding of its leading ones.
-    """
-    return min(M, math.ceil(-53.0 * math.log(2.0) / (2.0 * math.log(r_min(params)))) + 2)
-
-
 def _chain_section(params: ModelParams, grid: ContourGrid, N: int):
     """Hankel factors P, Q of the chain kernel at separation N.
 
-    The weights are odd, even = qq, pp below T_c and qq_hat, pp_hat above.
-    Returns (P, Q, odd, even, c) with odd[j] = m_odd(N - 1 + j) and
-    even[j] = m_even(N - 1 + j) for j < 2L, so P = c odd[1 + s + t]; the
-    leading L entries are the end vectors of the open chains at N - 1.
+    Both are windows into the grid's moment table (toeplitz.moment_table)
+    of the weights odd, even = qq, pp below T_c and qq_hat, pp_hat above.
+    Returns (P, Q, x_odd, x_even, c) with x_odd[k] = m_odd(N - 1 + k) and
+    x_even[k] = m_even(N - 1 + k) for k < L, the end vectors of the open
+    chains at N - 1.
     """
-    suffix = "_hat" if params.regime is Regime.ABOVE else ""
-    L = _section_size(params, grid.M)
-    c = 1.0 / (1.0 - grid.r ** (2 * grid.M))
-    odd = contour_moments(params, grid, "qq" + suffix, N - 1, 2 * L)
-    even = contour_moments(params, grid, "pp" + suffix, N - 1, 2 * L)
-    idx = 1 + np.add.outer(np.arange(L), np.arange(L))
-    return c * odd[idx], c * even[idx], odd, even, c
+    T = moment_table(params, grid, N)
+    idx, ends = N + T.offsets, slice(N, N + T.L)
+    return T.c * T.odd[idx], T.c * T.even[idx], T.odd[ends], T.even[ends], T.c
 
 
 def build_kernel(params: ModelParams, grid: ContourGrid, N: int) -> KernelMatrix:

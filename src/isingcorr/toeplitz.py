@@ -4,7 +4,8 @@ Fourier coefficients of the symbol come from contour quadrature (one FFT
 of the symbol on the grid, cached per parameter point and grid), with an
 independent binomial-series convolution available as a second route for
 cross-checks.  The same cached FFTs of the chain weights give their
-contour moments, from which fredholm builds the chain kernel.
+contour moments, kept as one table per grid (moment_table); every chain
+kernel section fredholm builds is a window into it.
 The shifted symbol above the critical point has coefficients
 b_n = a_(n-1), so its N x N matrix is the (N+1) x (N+1) matrix of phi
 without its last row and first column; det_DhatN and solve_x read it
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +49,7 @@ def _coeff_array(params: ModelParams, M: int, r: float, function: str) -> np.nda
 
 def clear_cache() -> None:
     _coeff_array.cache_clear()
+    _moment_table.cache_clear()
     _factor_series.cache_clear()
 
 
@@ -59,16 +62,78 @@ def fourier_coeff(params: ModelParams, grid: ContourGrid, n: int) -> complex:
     return complex(_coeff_array(params, grid.M, grid.r, "phi")[n % grid.M] * grid.r ** -n)
 
 
+def _moments(params: ModelParams, M: int, r: float, weight: str, j1: np.ndarray) -> np.ndarray:
+    """m(j1 - 1) for every j1: the trapezoidal Laurent coefficients a_(-j1) of the weight."""
+    return _coeff_array(params, M, r, weight)[-j1 % M] * r ** j1
+
+
 def contour_moments(params: ModelParams, grid: ContourGrid, weight: str,
                     start: int, count: int) -> np.ndarray:
     """m(j) = sum_k u_k w(z_k) z_k^j for j = start..start+count-1.
 
     w is the KernelSet evaluator named by weight.  m(j) is the
     trapezoidal Laurent coefficient a_(-(j+1)) of w, read off the same
-    cached FFT as fourier_coeff.
+    cached FFT as fourier_coeff.  The program reads moments from
+    moment_table; this per-call gather is the reference it is tested
+    against.
     """
-    j1 = np.arange(start + 1, start + count + 1)
-    return _coeff_array(params, grid.M, grid.r, weight)[-j1 % grid.M] * grid.r ** j1
+    return _moments(params, grid.M, grid.r, weight, np.arange(start + 1, start + count + 1))
+
+
+def section_size(params: ModelParams, M: int) -> int:
+    """L = min(M, ceil(ln 2^-53 / (2 ln r_min)) + 2).
+
+    Positive moments decay like r_min^j, so entries of the chain kernel
+    section P Q beyond L fall below the float64 rounding of its leading
+    ones.
+    """
+    return min(M, math.ceil(-53.0 * math.log(2.0) / (2.0 * math.log(r_min(params)))) + 2)
+
+
+@dataclass(frozen=True)
+class MomentTable:
+    """The chain-weight moments of one grid, read by every kernel section.
+
+    odd[i] = m_odd(i - 1) and even[i] = m_even(i - 1), the Laurent
+    coefficients a_(-i) of the regime's weights (qq, pp below T_c,
+    qq_hat, pp_hat above), for i < len(odd); c = 1/(1 - r^(2M)), L is
+    the section size and offsets[s, t] = 1 + s + t, so the section at
+    separation N is P = c odd[N + offsets], Q = c even[N + offsets].
+    """
+
+    odd: np.ndarray
+    even: np.ndarray
+    c: float
+    L: int
+    offsets: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _moment_table(params: ModelParams, M: int, r: float, length: int) -> MomentTable:
+    suffix = "_hat" if params.regime is Regime.ABOVE else ""
+    j1 = np.arange(length)
+    odd, even = (_moments(params, M, r, weight + suffix, j1) for weight in ("qq", "pp"))
+    L = section_size(params, M)
+    offsets = 1 + np.add.outer(np.arange(L), np.arange(L))
+    for array in (odd, even, offsets):
+        array.flags.writeable = False
+    return MomentTable(odd, even, 1.0 / (1.0 - r ** (2 * M)), L, offsets)
+
+
+def moment_table(params: ModelParams, grid: ContourGrid, N: int) -> MomentTable:
+    """The grid's moment table, long enough for the kernel section at separation N.
+
+    One table of 3M entries per (params, M, r) covers every N <= M; a
+    larger N rebuilds it with twice the length until N + 2L entries fit.
+    """
+    if N < 0:
+        raise ValueError(f"separation N={N} must be non-negative")
+    length = 3 * grid.M
+    table = _moment_table(params, grid.M, grid.r, length)
+    while N + 2 * table.L > length:
+        length *= 2
+        table = _moment_table(params, grid.M, grid.r, length)
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -76,19 +141,22 @@ def contour_moments(params: ModelParams, grid: ContourGrid, weight: str,
 # ----------------------------------------------------------------------
 
 def _binom_coeffs(exponent: float, a: float, terms: int) -> np.ndarray:
-    """Taylor coefficients of (1 - a z)**exponent up to z**(terms-1).
+    """Taylor coefficients of (1 - a z)**exponent up to z**(terms-1), exponent = +-1/2.
 
-    binom(e, k) is the cumulative product of (e - i + 1)/i over i = 1..k,
-    taken in integers over the exact ratio e = num/den, so each
-    coefficient is rounded once.
+    binom(-1/2, k) = (-1)^k C(2k, k) / 4^k and binom(1/2, k) =
+    -(-1)^k C(2k, k) / ((2k - 1) 4^k), with the central binomial
+    C(2k, k) carried exactly by C(2k+2, k+1) = C(2k, k) 2(2k+1)/(k+1);
+    one integer true division per coefficient rounds it once.
     """
-    num, den = float(exponent).as_integer_ratio()
+    if exponent not in (0.5, -0.5):
+        raise ValueError(f"exponent {exponent} must be 1/2 or -1/2")
     binoms = np.empty(terms)
-    top = bottom = 1
+    central, sign = 1, (1 if exponent < 0 else -1)
     for k in range(terms):
-        binoms[k] = top / bottom
-        top *= num - k * den
-        bottom *= (k + 1) * den
+        odd = 1 if exponent < 0 else 2 * k - 1
+        binoms[k] = sign * central / (odd << 2 * k)
+        central = central * 2 * (2 * k + 1) // (k + 1)
+        sign = -sign
     return binoms * (-a) ** np.arange(terms)
 
 

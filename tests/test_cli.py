@@ -1,4 +1,5 @@
 import json
+import os
 from importlib import resources
 
 import jsonschema
@@ -270,15 +271,30 @@ def test_missing_config_file_exits_two(capsys, tmp_path):
     assert err.count("\n") == 1 and err.startswith("corr: cannot read config ")
 
 
-def test_unwritable_out_path_exits_two(capsys, tmp_path):
-    """Exit 1 stays the code of a failed identity; a file error is exit 2."""
-    out_path = tmp_path / "no_such_dir" / "report.json"
-    for argv in (["table", "--diagonal", "--alpha2", "0.5", "--N", "2", "--routes", "det"],
-                 ["verify", "--suite", "szego"]):
-        code, _, err = run(capsys, *argv, "--out", str(out_path))
-        assert code == 2
-        assert err.count("\n") == 1 and err.startswith("corr: cannot write ")
-        assert not out_path.exists()
+def test_unwritable_out_path_exits_two(capsys, tmp_path, monkeypatch):
+    """An --out that cannot be written is exit 2 before any work, and no file
+    is made; exit 1 stays the code of a failed identity."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "run_suite", forbidden)
+    monkeypatch.setattr(cli, "correlation", forbidden)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    locked = tmp_path / "locked"
+    locked.mkdir(mode=0o500)
+    paths = [tmp_path / "no_such_dir" / "report.json", tmp_path, a_file / "report.json"]
+    if not os.access(locked, os.W_OK):        # root writes anywhere
+        paths.append(locked / "report.json")
+    for out_path in paths:
+        for argv in (["table", "--diagonal", "--alpha2", "0.5", "--N", "2", "--routes", "det"],
+                     ["verify", "--suite", "szego"],
+                     ["sweep", "--diagonal", "--alpha2", "0.5", "--M-list", "16,32"]):
+            code, out, err = run(capsys, *argv, "--out", str(out_path))
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and err.startswith(f"corr: cannot write {out_path}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "locked"]
+    assert not any(locked.iterdir())
 
 
 def test_config_values_take_their_flags_types(capsys, tmp_path, monkeypatch):

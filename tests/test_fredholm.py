@@ -1,12 +1,16 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import isingcorr as ic
 from isingcorr import expansions as expansions_module
+from isingcorr import fredholm as fredholm_module
 from isingcorr import quadrature as quadrature_module
-from isingcorr.fredholm import KernelMatrix, _section_size, ff_coeffs_complex
+from isingcorr import toeplitz as toeplitz_module
+from isingcorr.fredholm import KernelMatrix, _chain_section, ff_coeffs_complex
+from isingcorr.toeplitz import contour_moments, moment_table, section_size
 from kernel_oracle import grid_kernel, power_sums
 
 
@@ -164,13 +168,13 @@ def test_section_is_the_grid_kernel_when_L_equals_M():
 
 
 def test_section_size_follows_the_moment_decay():
-    assert _section_size(ic.diagonal_from_alpha2(0.2), 256) == 14
-    assert _section_size(ic.diagonal_from_alpha2(0.6), 256) == 38
-    assert _section_size(ic.diagonal_from_alpha2(2.5), 256) == 23
-    assert _section_size(ic.diagonal_from_alpha2(0.9), 64) == 64
+    assert section_size(ic.diagonal_from_alpha2(0.2), 256) == 14
+    assert section_size(ic.diagonal_from_alpha2(0.6), 256) == 38
+    assert section_size(ic.diagonal_from_alpha2(2.5), 256) == 23
+    assert section_size(ic.diagonal_from_alpha2(0.9), 64) == 64
     for alpha2 in (0.2, 0.6, 2.5, 4.0):
         params = ic.diagonal_from_alpha2(alpha2)
-        L = _section_size(params, 1024)
+        L = section_size(params, 1024)
         # r_min^(2L) sits below the float64 unit roundoff
         assert ic.r_min(params) ** (2 * (L - 2)) <= 2.0 ** -53
 
@@ -200,3 +204,81 @@ def test_expansion_routes_make_no_grid_matrix(monkeypatch, below, below_grid, ab
         ic.f_2n1(above, above_grid, 2, n)
     # a name bound by import before the patch would escape it
     assert not hasattr(expansions_module, "chain_integral")
+
+
+# ----------------------------------------------------------------------
+# the moment table every section reads
+# ----------------------------------------------------------------------
+
+def _gathered_section(params, grid, N):
+    """The section from a per-call gather of contour moments, the reference."""
+    suffix = "_hat" if params.regime is ic.Regime.ABOVE else ""
+    L = section_size(params, grid.M)
+    c = 1.0 / (1.0 - grid.r ** (2 * grid.M))
+    odd, even = (contour_moments(params, grid, weight + suffix, N - 1, 2 * L)
+                 for weight in ("qq", "pp"))
+    idx = 1 + np.add.outer(np.arange(L), np.arange(L))
+    return c * odd[idx], c * even[idx], odd[:L], even[:L], c
+
+
+TABLE_CASES = [(ic.diagonal_from_alpha2(0.5), 64), (ic.diagonal_from_alpha2(0.5), 256),
+               (row_params(0.2, 0.55), 64), (row_params(0.2, 0.55), 256),
+               (ic.diagonal_from_alpha2(2.5), 64), (ic.diagonal_from_alpha2(2.5), 256),
+               (ic.direct(0.2, 3.0), 64), (ic.direct(0.2, 3.0), 256),
+               (ic.diagonal_from_alpha2(0.9), 64)]
+
+
+@pytest.mark.parametrize("params, M", TABLE_CASES,
+                         ids=[f"{p.kind.value}-{p.alpha1:g}-{p.alpha2:g}-M{M}"
+                              for p, M in TABLE_CASES])
+def test_section_is_a_window_into_the_moment_table(params, M):
+    """P, Q, the end vectors, c and G_1 equal the per-call gather exactly,
+    at N = 1..64 and at N = 200 with M = 64, past the table's first end."""
+    grid = ic.make_grid(params, M)
+    separations = list(range(1, 65)) + ([200] if M == 64 else [])
+    for N in separations:
+        got, want = _chain_section(params, grid, N), _gathered_section(params, grid, N)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), N
+        if params.regime is ic.Regime.ABOVE:
+            g1 = -contour_moments(params, grid, "pp_hat", N - 1, 1)[0]
+            assert ic.G_2n1(params, grid, N, 0).value == g1.real, N
+    if params.alpha2 == 0.9:
+        assert len(got[0]) == M
+
+
+def test_moment_table_grows_past_its_end(below, below_grid):
+    toeplitz_module.clear_cache()
+    first = moment_table(below, below_grid, 64)
+    longer = moment_table(below, below_grid, 200)
+    assert len(first.odd) == 3 * below_grid.M and len(longer.odd) >= 200 + 2 * longer.L
+    assert moment_table(below, below_grid, 5) is first
+    assert np.array_equal(longer.odd[:len(first.odd)], first.odd)
+    with pytest.raises(ValueError):
+        moment_table(below, below_grid, -1)
+
+
+def test_one_moment_table_per_grid(monkeypatch, below, above):
+    """exp and ff over N = 1..32 on one grid gather each weight's moments
+    once, and no program route calls the per-call gather."""
+    gathers = Counter()
+    moments = toeplitz_module._moments
+
+    def counted(params, M, r, weight, j1):
+        gathers[weight] += 1
+        return moments(params, M, r, weight, j1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-call moment gather")
+
+    monkeypatch.setattr(toeplitz_module, "_moments", counted)
+    monkeypatch.setattr(toeplitz_module, "contour_moments", forbidden)
+    toeplitz_module.clear_cache()
+    for params in (below, above):
+        grid = ic.make_grid(params, 64)
+        for N in range(1, 33):
+            for route in ("exp", "ff"):
+                ic.correlation(params, N, route, 3, grid)
+    assert gathers == {"qq": 1, "pp": 1, "qq_hat": 1, "pp_hat": 1}
+    # a name bound by import before the patch would escape it
+    assert not hasattr(fredholm_module, "contour_moments")
+    assert not hasattr(expansions_module, "contour_moments")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -111,11 +112,12 @@ def test_coeff_is_the_trapezoidal_sum(below, above):
 def test_clear_cache_empties_the_cache(below, below_grid):
     ic.fourier_coeff(below, below_grid, 0)
     ic.fourier_coeff_series(below, 0)
-    assert toeplitz_module._coeff_array.cache_info().currsize > 0
-    assert toeplitz_module._factor_series.cache_info().currsize > 0
+    ic.build_kernel(below, below_grid, 3)
+    caches = (toeplitz_module._coeff_array, toeplitz_module._moment_table,
+              toeplitz_module._factor_series)
+    assert all(cache.cache_info().currsize > 0 for cache in caches)
     toeplitz_module.clear_cache()
-    assert toeplitz_module._coeff_array.cache_info().currsize == 0
-    assert toeplitz_module._factor_series.cache_info().currsize == 0
+    assert all(cache.cache_info().currsize == 0 for cache in caches)
 
 
 def test_clear_cache_drops_chain_weight_moments(below, below_grid):
@@ -147,6 +149,18 @@ def test_binom_coeffs_match_mpmath():
                 for k in range(terms):
                     want = float(mpmath.binomial(mpmath.mpf(exponent), k) * (-mpmath.mpf(a)) ** k)
                     assert abs(got[k] - want) <= 1e-15 * abs(want), (exponent, a, k)
+
+
+def test_binom_coeffs_are_the_correctly_rounded_binomials():
+    """Each coefficient of (1 - z)^(+-1/2) is its exact rational value, rounded once."""
+    for exponent in (Fraction(1, 2), Fraction(-1, 2)):
+        got = _binom_coeffs(float(exponent), 1.0, 400)
+        exact = Fraction(1)
+        for k in range(400):
+            assert got[k] == float((-1) ** k * exact), (exponent, k)
+            exact *= (exponent - k) / (k + 1)
+    with pytest.raises(ValueError):
+        _binom_coeffs(1.5, 1.0, 4)
 
 
 def test_package_imports_no_scipy():
