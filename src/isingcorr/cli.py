@@ -327,11 +327,14 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     routes = _parse_routes(ns.routes, ensure_det=False)
     if (ns.M_list is None) == (ns.order_list is None):
         raise UsageError("give exactly one of --M-list or --order-list")
-    # one (M, n_max) setting per step of the study
+    # one (M, n_max) setting per step of the study; the header names the
+    # grids swept and the largest order used
     if ns.M_list is not None:
         settings = [_check_grid(M, ns.orders, "--M-list") for M in _parse_int_list(ns.M_list, "M")]
+        grid_M = ",".join(str(M) for M, _ in settings)
     else:
         settings = [_check_grid(ns.M, n) for n in _parse_int_list(ns.order_list, "order")]
+        grid_M = ns.M
     _check_out(ns.out)
     rows = []
     for N in seps:
@@ -343,8 +346,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
                 rows.append({"N": N, "route": route, "value": entry.value,
                              "est_error": diff, "M": M, "n_max": n_max})
                 prev = entry.value
-    grid_desc = f"M={ns.M},r={'auto' if ns.r is None else repr(ns.r)}"
-    _write_report(rows, _header_fields(params, grid_desc, ns.orders), ns.format, ns.out)
+    grid_desc = f"M={grid_M},r={'auto' if ns.r is None else repr(ns.r)}"
+    n_max = max(n for _, n in settings)
+    _write_report(rows, _header_fields(params, grid_desc, n_max), ns.format, ns.out)
     return 0
 
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegeneratePoints, MethodUnavailable, RegimeMismatch
-from .fredholm import build_kernel, form_factors
+from .fredholm import build_kernel, ff_coeffs
 from .kernels import KernelSet, s_hat_infinity, s_infinity
 from .params import ModelParams, Regime
 from .quadrature import ContourGrid, make_grid
@@ -58,9 +58,12 @@ class Method(Enum):
 class ExpansionTerm:
     """One expansion coefficient at fixed separation.
 
-    est_error records the imaginary residue discarded when taking the
-    real part; on the conjugate-symmetric grid it sits at rounding level
-    and is the one error signal a fixed-grid evaluation provides.
+    Terms read from the kernel section are real (its moments are real
+    for real alpha) and carry est_error 0.0.  A direct grid product is
+    complex by rounding; its est_error records the imaginary residue
+    discarded when taking the real part, which on the conjugate-symmetric
+    grid sits at rounding level.  A combination carries the largest
+    est_error of the terms it is built from.
     """
 
     order: int
@@ -85,8 +88,8 @@ def _section_terms(params: ModelParams, grid: ContourGrid, N: int, n_max: int,
     """The named parts of the kernel section at N to order n_max, in the order asked.
 
     "sums": p_n = tr(K^n), and "closed": -p_n/n, for n = 1..n_max; "form":
-    the form factors (-1)^n e_n for n = 0..n_max from the same power sums,
-    left complex for the odd form factors above T_c.  "open": the open
+    the form factors (-1)^n e_n for n = 0..n_max (fredholm.ff_coeffs, which
+    bounds n_max by the section size).  All are real.  "open": the open
     chains of separation N - 1, with x_k = m_pp(N - 1 + k) and
     y_k = m_qq(N - 1 + k): phi_2n = -c y^T (QP)^(n-1) x below T_c
     (n = 1..n_max), G_(2n+1) = -c x^T P (QP)^(n-1) x above (n = 0..n_max;
@@ -95,16 +98,13 @@ def _section_terms(params: ModelParams, grid: ContourGrid, N: int, n_max: int,
     """
     below = params.regime is Regime.BELOW
     K = build_kernel(params, grid, N) if n_max else None
-    if "form" in parts and K is not None and n_max > len(K.matrix):
-        raise ValueError(f"n_max={n_max} exceeds the matrix size {len(K.matrix)}")
-    reads_sums = K is not None and {"sums", "closed", "form"}.intersection(parts)
-    sums = K.power_sums(n_max) if reads_sums else ()
-    p = [complex(v) for v in sums] if "sums" in parts or "closed" in parts else []
-    found = {"sums": p}
-    if "closed" in parts:
+    found = {}
+    if "sums" in parts or "closed" in parts:
+        p = K.power_sums(n_max).tolist() if K is not None else []
+        found["sums"] = p
         found["closed"] = [_term(2 * n, N, -p[n - 1] / n) for n in range(1, len(p) + 1)]
     if "form" in parts:
-        found["form"] = form_factors(sums)
+        found["form"] = ff_coeffs(K, n_max) if K is not None else [1.0]
     if "open" in parts:
         # G_1 = -m_pphat(N - 2), entry N - 1 of the table read at separation N - 1
         chains = [] if below else [_term(1, N - 1, -moment_table(params, grid, N - 1).even[N - 1])]
@@ -239,7 +239,7 @@ def _f_2n1_direct(params: ModelParams, grid: ContourGrid, N: int, n: int) -> com
     return complex(total) / 2.0
 
 
-def _odd_form_factors(g_terms: list[ExpansionTerm], hat_ff: list[complex],
+def _odd_form_factors(g_terms: list[ExpansionTerm], hat_ff: list[float],
                       N: int) -> list[ExpansionTerm]:
     """Order-(2n+1) form factors for n = 0..len(g_terms)-1.
 
@@ -249,10 +249,10 @@ def _odd_form_factors(g_terms: list[ExpansionTerm], hat_ff: list[complex],
     out = []
     for n in range(len(g_terms)):
         gs = g_terms[:n + 1]
-        value = sum(g.value * hat_ff[n - k].real for k, g in enumerate(gs))
-        est = max([abs(c.imag) for c in hat_ff[:n + 1]] + [g.est_error for g in gs])
+        value = sum(g.value * hat_ff[n - k] for k, g in enumerate(gs))
         out.append(ExpansionTerm(order=2 * n + 1, N=N, value=float(value),
-                                 est_error=float(est), method=Method.COMBINATION))
+                                 est_error=max(g.est_error for g in gs),
+                                 method=Method.COMBINATION))
     return out
 
 
@@ -470,7 +470,7 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
 
     # one kernel section per entry (plain at N below, hat at N+1 above),
     # read for the route's part only, and none built at n_max=0; series
-    # holds the closed-chain terms (exp) or the complex form factors (ff)
+    # holds the closed-chain terms (exp) or the form factors (ff)
     part = "closed" if route is Route.EXPONENTIAL else "form"
     if below:
         (series,) = _section_terms(params, grid, N, n_max, part)

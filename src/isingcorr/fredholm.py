@@ -12,7 +12,10 @@ like r_min^j, so the section is cut at the size L where r_min^(2L)
 reaches the float64 rounding level (L = M is the exact identity).
 Separation enters only as the offset N: every section of a grid is a
 window into its one moment table (toeplitz.moment_table), which holds
-the two moment sequences, c, L and the Hankel offsets.
+the two moment sequences, c, L and the Hankel offsets.  For real alpha
+the moments are real, so the section, its power sums, form factors and
+log det are computed in float64; the imaginary residue of the grid is a
+property of the direct grid products alone.
 
 The section's power sums p_n = tr((PQ)^n) carry the whole family: the
 order-2n closed-chain coefficient is -p_n/n, and Newton's identities
@@ -55,7 +58,7 @@ class KernelMatrix:
         if n_max < 0:
             raise ValueError("n_max must be non-negative")
         K = self.matrix
-        p = np.zeros(n_max, dtype=complex)
+        p = np.zeros(n_max, dtype=K.dtype)
         if n_max >= 1:
             p[0] = np.trace(K)
         power = K                                  # K^(n-1) at step n
@@ -65,11 +68,11 @@ class KernelMatrix:
                 power = power @ K
         return p
 
-    def trace_power(self, n: int) -> complex:
+    def trace_power(self, n: int) -> float:
         """tr(K^n), the last of the power sums p_1..p_n."""
         if n < 1:
             raise ValueError("power must be at least 1")
-        return complex(self.power_sums(n)[n - 1])
+        return float(self.power_sums(n)[n - 1])
 
 
 def _chain_section(params: ModelParams, grid: ContourGrid, N: int):
@@ -102,9 +105,9 @@ def build_kernel(params: ModelParams, grid: ContourGrid, N: int) -> KernelMatrix
 def log_det_expansion(K: KernelMatrix) -> float:
     """log det(I - K), the exponential series summed to all orders, from one LU.
 
-    The section is complex only by rounding, so det(I - K) counts as a
-    positive real when the LU sign has a positive real part; otherwise
-    the log has no real value and SpectralRadiusExceeded is raised.
+    det(I - K) must be positive (for a complex K, the LU sign must have
+    a positive real part); otherwise the log has no real value and
+    SpectralRadiusExceeded is raised.
     """
     sign, logabs = np.linalg.slogdet(np.eye(len(K.matrix)) - K.matrix)
     if not sign.real > 0.0:
@@ -112,28 +115,18 @@ def log_det_expansion(K: KernelMatrix) -> float:
     return float(logabs)
 
 
-def form_factors(power_sums: list[complex] | np.ndarray) -> list[complex]:
-    """(-1)^n e_n for n = 0..len(power_sums), the form factors, by Newton's identities."""
-    n_max = len(power_sums)
-    e = np.zeros(n_max + 1, dtype=complex)
-    e[0] = 1.0
-    for n in range(1, n_max + 1):
-        acc = 0.0 + 0.0j
-        for k in range(1, n + 1):
-            acc += (-1) ** (k - 1) * e[n - k] * power_sums[k - 1]
-        e[n] = acc / n
-    return [complex((-1) ** n * e[n]) for n in range(n_max + 1)]
-
-
-def ff_coeffs_complex(K: KernelMatrix, n_max: int) -> list[complex]:
-    """form_factors of K for n = 0..n_max, with their rounding-level imaginary residues."""
+def ff_coeffs(K: KernelMatrix, n_max: int) -> list[float]:
+    """Form factors f(2n) = (-1)^n e_n of the section K for n = 0..n_max (at
+    most its size), by Newton's identities on its power sums."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if n_max > len(K.matrix):
         raise ValueError(f"n_max={n_max} exceeds the matrix size {len(K.matrix)}")
-    return form_factors(K.power_sums(n_max))
-
-
-def ff_coeffs(K: KernelMatrix, n_max: int) -> list[float]:
-    """Form factor candidates f(2n) for n = 0..n_max, as reals."""
-    return [c.real for c in ff_coeffs_complex(K, n_max)]
+    p = K.power_sums(n_max).tolist()
+    e = [1.0]
+    for n in range(1, n_max + 1):
+        acc = 0.0
+        for k in range(1, n + 1):
+            acc += (-1) ** (k - 1) * e[n - k] * p[k - 1]
+        e.append(acc / n)
+    return [(-1) ** n * v for n, v in enumerate(e)]

@@ -4,8 +4,13 @@ Fourier coefficients of the symbol come from contour quadrature (one FFT
 of the symbol on the grid, cached per parameter point and grid), with an
 independent binomial-series convolution available as a second route for
 cross-checks.  The same cached FFTs of the chain weights give their
-contour moments, kept as one table per grid (moment_table); every chain
-kernel section fredholm builds is a window into it.
+contour moments, kept as one real table per grid (moment_table); every
+chain kernel section fredholm builds is a window into it.  The moments
+are real for real alpha on the conjugate-symmetric grid, so the table
+holds the real parts of the FFT moments; their imaginary residue is
+rounding, at most about eps max|w(z_k)|, and stays with contour_moments,
+the tests' reference.  The coefficients of the symbol, the Toeplitz
+matrices and their determinants and solves stay complex.
 The shifted symbol above the critical point has coefficients
 b_n = a_(n-1), so its N x N matrix is the (N+1) x (N+1) matrix of phi
 without its last row and first column; det_DhatN and solve_x read it
@@ -96,7 +101,10 @@ class MomentTable:
 
     odd[i] = m_odd(i - 1) and even[i] = m_even(i - 1), the Laurent
     coefficients a_(-i) of the regime's weights (qq, pp below T_c,
-    qq_hat, pp_hat above), for i < len(odd); c = 1/(1 - r^(2M)), L is
+    qq_hat, pp_hat above), for i < len(odd), as float64: the weights are
+    real on the real axis, so on the conjugate-symmetric grid the moments
+    are real and the FFT's imaginary part is rounding, which is dropped
+    here and kept by contour_moments.  c = 1/(1 - r^(2M)), L is
     the section size and offsets[s, t] = 1 + s + t, so the section at
     separation N is P = c odd[N + offsets], Q = c even[N + offsets].
     """
@@ -112,7 +120,7 @@ class MomentTable:
 def _moment_table(params: ModelParams, M: int, r: float, length: int) -> MomentTable:
     suffix = "_hat" if params.regime is Regime.ABOVE else ""
     j1 = np.arange(length)
-    odd, even = (_moments(params, M, r, weight + suffix, j1) for weight in ("qq", "pp"))
+    odd, even = (_moments(params, M, r, weight + suffix, j1).real.copy() for weight in ("qq", "pp"))
     L = section_size(params, M)
     offsets = 1 + np.add.outer(np.arange(L), np.arange(L))
     for array in (odd, even, offsets):

@@ -164,6 +164,28 @@ def test_sweep_order_list(capsys):
     assert float(rows[2][3]) <= float(rows[1][3])
 
 
+def test_sweep_M_list_header_names_the_grids_swept(capsys):
+    code, out, _ = run(capsys, "sweep", "--diagonal", "--alpha2", "0.5", "--N", "3",
+                       "--M-list", "16,32", "--routes", "exp")
+    assert code == 0
+    assert "grid=M=16,32,r=auto n_max=3" in out.splitlines()[0]
+    code, out, _ = run(capsys, "sweep", "--diagonal", "--alpha2", "0.5", "--N", "3",
+                       "--M-list", "16,32", "--orders", "2", "--format", "json")
+    header = json.loads(out)["header"]
+    assert (header["grid"], header["n_max"]) == ("M=16,32,r=auto", 2)
+
+
+def test_sweep_order_list_header_names_the_largest_order(capsys):
+    code, out, _ = run(capsys, "sweep", "--diagonal", "--alpha2", "0.5", "--N", "3",
+                       "--order-list", "1,2", "--routes", "ff")
+    assert code == 0
+    assert "grid=M=64,r=auto n_max=2" in out.splitlines()[0]
+    code, out, _ = run(capsys, "sweep", "--diagonal", "--alpha2", "0.5", "--N", "3",
+                       "--order-list", "2,0", "--M", "32", "--format", "json")
+    header = json.loads(out)["header"]
+    assert (header["grid"], header["n_max"]) == ("M=32,r=auto", 2)
+
+
 def test_sweep_empty_list(capsys):
     code, _, err = run(capsys, "sweep", "--diagonal", "--alpha2", "0.5", "--N", "3",
                        "--M-list", "", "--routes", "exp")

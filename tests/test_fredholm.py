@@ -9,7 +9,7 @@ from isingcorr import expansions as expansions_module
 from isingcorr import fredholm as fredholm_module
 from isingcorr import quadrature as quadrature_module
 from isingcorr import toeplitz as toeplitz_module
-from isingcorr.fredholm import KernelMatrix, _chain_section, ff_coeffs_complex
+from isingcorr.fredholm import KernelMatrix, _chain_section
 from isingcorr.toeplitz import contour_moments, moment_table, section_size
 from kernel_oracle import grid_kernel, power_sums
 
@@ -117,10 +117,18 @@ def test_exp_series_duality(below, below_grid):
     assert abs(f_exp - f_sum) <= 10.0 * omitted + 1e-15
 
 
-def test_ff_complex_residues_tiny(above, above_grid):
-    K = ic.build_kernel(above, above_grid, 2)
-    for c in ff_coeffs_complex(K, 3):
-        assert abs(c.imag) < 1e-12
+def test_section_is_real(below, below_grid, above, above_grid):
+    """The section, its power sums and form factors are float64, and every
+    section term carries est_error 0.0; a direct grid product keeps the
+    imaginary residue it drops as its est_error."""
+    for params, grid in ((below, below_grid), (above, above_grid)):
+        K = ic.build_kernel(params, grid, 2)
+        assert K.matrix.dtype == np.float64 and K.power_sums(3).dtype == np.float64
+        assert all(type(v) is float for v in ic.ff_coeffs(K, 3) + [K.trace_power(2)])
+        for route in ("exp", "ff"):
+            assert all(t.est_error == 0.0 for t in ic.correlation(params, 2, route, 3, grid).terms)
+    raw = expansions_module._f_2n_direct(below, below_grid, 2, 1)
+    assert ic.f_2n(below, below_grid, 2, 1, method="direct").est_error == abs(raw.imag)
 
 
 def test_ff_validation(below, below_grid):
@@ -211,11 +219,12 @@ def test_expansion_routes_make_no_grid_matrix(monkeypatch, below, below_grid, ab
 # ----------------------------------------------------------------------
 
 def _gathered_section(params, grid, N):
-    """The section from a per-call gather of contour moments, the reference."""
+    """The section from the real parts of a per-call gather of contour
+    moments, the reference."""
     suffix = "_hat" if params.regime is ic.Regime.ABOVE else ""
     L = section_size(params, grid.M)
     c = 1.0 / (1.0 - grid.r ** (2 * grid.M))
-    odd, even = (contour_moments(params, grid, weight + suffix, N - 1, 2 * L)
+    odd, even = (contour_moments(params, grid, weight + suffix, N - 1, 2 * L).real
                  for weight in ("qq", "pp"))
     idx = 1 + np.add.outer(np.arange(L), np.arange(L))
     return c * odd[idx], c * even[idx], odd[:L], even[:L], c
@@ -232,7 +241,7 @@ TABLE_CASES = [(ic.diagonal_from_alpha2(0.5), 64), (ic.diagonal_from_alpha2(0.5)
                          ids=[f"{p.kind.value}-{p.alpha1:g}-{p.alpha2:g}-M{M}"
                               for p, M in TABLE_CASES])
 def test_section_is_a_window_into_the_moment_table(params, M):
-    """P, Q, the end vectors, c and G_1 equal the per-call gather exactly,
+    """P, Q, the end vectors, c and G_1 equal the real parts of the per-call gather exactly,
     at N = 1..64 and at N = 200 with M = 64, past the table's first end."""
     grid = ic.make_grid(params, M)
     separations = list(range(1, 65)) + ([200] if M == 64 else [])

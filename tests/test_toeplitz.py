@@ -138,6 +138,28 @@ def test_moments_are_the_trapezoidal_sums(below, above):
             assert abs(m - np.sum(summands)) <= 1e-15 * np.sum(np.abs(summands)), (weight, j)
 
 
+def test_contour_moments_have_rounding_level_imaginary_parts():
+    """The weights are real on the real axis, so on the conjugate-symmetric
+    grid their moments are real: the imaginary part of every moment the
+    moment table holds (j = -1..3M-2) is below eps max_k |w(z_k)|, which
+    is why the table keeps only the real parts.  Covers L = M at alpha2
+    0.9 and 1.2 with M = 64."""
+    eps = np.finfo(float).eps
+    points = [ic.diagonal_from_alpha2(a) for a in (0.5, 0.9, 1.2, 2.5)] + [
+        ic.direct(0.2, 0.5), ic.direct(0.2, 3.0), ic.direct(0.05, 5.0), ic.direct(0.1, 2.0),
+        ic.from_couplings(ic.Kind.ROW, 0.6, 0.5)]
+    for params in points:
+        suffix = "_hat" if params.regime is ic.Regime.ABOVE else ""
+        for M in (64, 256, 1024):
+            grid = ic.make_grid(params, M)
+            for weight in ("qq" + suffix, "pp" + suffix):
+                scale = np.max(np.abs(getattr(ic.KernelSet(params), weight)(grid.nodes)))
+                residue = np.max(np.abs(contour_moments(params, grid, weight, -1, 3 * M).imag))
+                assert residue <= eps * scale, (params, M, weight, residue / (eps * scale))
+    for alpha2 in (0.9, 1.2):
+        assert toeplitz_module.section_size(ic.diagonal_from_alpha2(alpha2), 64) == 64
+
+
 def test_binom_coeffs_match_mpmath():
     import mpmath
 
