@@ -74,8 +74,9 @@ class ExpansionTerm:
 
 
 def _term(order: int, N: int, raw: complex, method: Method = Method.SECTION) -> ExpansionTerm:
-    return ExpansionTerm(order=order, N=N, value=float(raw.real),
-                         est_error=abs(raw.imag), method=method)
+    """The term of a real section value or a complex grid product, as Python floats."""
+    raw = complex(raw)
+    return ExpansionTerm(order, N, raw.real, abs(raw.imag), method)
 
 
 def _require_regime(params: ModelParams, regime: Regime, what: str) -> None:
@@ -90,11 +91,12 @@ def _section_terms(params: ModelParams, grid: ContourGrid, N: int, n_max: int,
     "sums": p_n = tr(K^n), and "closed": -p_n/n, for n = 1..n_max; "form":
     the form factors (-1)^n e_n for n = 0..n_max (fredholm.ff_coeffs, which
     bounds n_max by the section size).  All are real.  "open": the open
-    chains of separation N - 1, with x_k = m_pp(N - 1 + k) and
-    y_k = m_qq(N - 1 + k): phi_2n = -c y^T (QP)^(n-1) x below T_c
-    (n = 1..n_max), G_(2n+1) = -c x^T P (QP)^(n-1) x above (n = 0..n_max;
-    G_1 = -m_pphat(N - 2) is one entry of the moment table).  No section
-    is built at n_max = 0.
+    chains of separation N - 1, with x_k = m_pp(N - 1 + k),
+    y_k = m_qq(N - 1 + k) and K = PQ: phi_2n = -c x^T K^(n-1) y below T_c
+    (n = 1..n_max), G_(2n+1) = -c x^T K^(n-1) P x above (n = 0..n_max;
+    G_1 = -m_pphat(N - 2) is one entry of the moment table).  These are
+    -c y^T (QP)^(n-1) x and -c x^T P (QP)^(n-1) x, as P and Q are
+    symmetric.  No section is built at n_max = 0.
     """
     below = params.regime is Regime.BELOW
     K = build_kernel(params, grid, N) if n_max else None
@@ -106,16 +108,19 @@ def _section_terms(params: ModelParams, grid: ContourGrid, N: int, n_max: int,
     if "form" in parts:
         found["form"] = ff_coeffs(K, n_max) if K is not None else [1.0]
     if "open" in parts:
-        # G_1 = -m_pphat(N - 2), entry N - 1 of the table read at separation N - 1
-        chains = [] if below else [_term(1, N - 1, -moment_table(params, grid, N - 1).even[N - 1])]
+        chains = []
+        if not below:
+            # G_1 = -m_pphat(N - 2), entry N - 1 of the table the section at N reads
+            table = K.section[5] if K is not None else moment_table(params, grid, N)
+            chains.append(_term(1, N - 1, -table.even[N - 1]))
         if K is not None:
-            P, Q, y, x, c = K.section
-            # v runs through (QP)^(n-1) x below and P (QP)^(n-1) x above
-            left, v, A, B = (y, x, Q, P) if below else (x, P @ x, P, Q)
+            P, _, y, x, c, _ = K.section
+            # v runs through K^(n-1) y below and K^(n-1) P x above
+            v = y if below else P @ x
             for n in range(1, n_max + 1):
                 if n > 1:
-                    v = A @ (B @ v)
-                chains.append(_term(2 * n if below else 2 * n + 1, N - 1, -c * (left @ v)))
+                    v = K.matrix @ v
+                chains.append(_term(2 * n if below else 2 * n + 1, N - 1, -c * (x @ v)))
         found["open"] = chains
     return tuple([found[part] for part in parts])
 
@@ -169,6 +174,8 @@ def G_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTe
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    if N < 0:
+        raise ValueError(f"separation N={N} must be non-negative")
     _require_regime(params, Regime.ABOVE, "G_2n1")
     return _section_terms(params, grid, N + 1, n, "open")[0][n]
 
@@ -246,13 +253,11 @@ def _odd_form_factors(g_terms: list[ExpansionTerm], hat_ff: list[float],
     Each is the convolution sum_k G_(2k+1) f_hat(2(n-k)) of the open-chain
     terms with the hat form factors at separation N+1.
     """
-    out = []
-    for n in range(len(g_terms)):
-        gs = g_terms[:n + 1]
-        value = sum(g.value * hat_ff[n - k] for k, g in enumerate(gs))
-        out.append(ExpansionTerm(order=2 * n + 1, N=N, value=float(value),
-                                 est_error=max(g.est_error for g in gs),
-                                 method=Method.COMBINATION))
+    out, values, est = [], [g.value for g in g_terms], 0.0
+    for n, g in enumerate(g_terms):
+        value = sum(v * hat_ff[n - k] for k, v in enumerate(values[:n + 1]))
+        est = max(est, g.est_error)
+        out.append(ExpansionTerm(2 * n + 1, N, float(value), est, Method.COMBINATION))
     return out
 
 
@@ -445,7 +450,7 @@ class ComparisonEntry:
 
 def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
                 grid: ContourGrid | None = None) -> ComparisonEntry:
-    """Correlation at separation N by the requested route.
+    """Correlation at separation N >= 1 by the requested route.
 
     Expansion routes truncate at n_max (closed-chain orders 2..2*n_max
     below, odd orders 1..2*n_max+1 above) and read every closed chain
@@ -456,6 +461,8 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
     prefactor, a heuristic justified by the observed geometric decay of
     the terms.
     """
+    if N < 1:
+        raise ValueError(f"separation N={N} must be at least 1")
     route = Route(route)
     if not 0 <= n_max <= 3:
         raise ValueError("n_max is limited to 0..3")

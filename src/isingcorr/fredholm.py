@@ -12,7 +12,8 @@ like r_min^j, so the section is cut at the size L where r_min^(2L)
 reaches the float64 rounding level (L = M is the exact identity).
 Separation enters only as the offset N: every section of a grid is a
 window into its one moment table (toeplitz.moment_table), which holds
-the two moment sequences, c, L and the Hankel offsets.  For real alpha
+the two moment sequences, c, L and strided Hankel windows of the scaled
+moments, so P and Q are two basic slices of it.  For real alpha
 the moments are real, so the section, its power sums, form factors and
 log det are computed in float64; the imaginary residue of the grid is a
 property of the direct grid products alone.
@@ -40,8 +41,9 @@ from .toeplitz import moment_table
 class KernelMatrix:
     """Chain kernel section (L x L) of the M-node grid, immutable after build.
 
-    section holds the factors it was multiplied from, (P, Q, x_odd, x_even, c)
-    as returned by _chain_section; the open chains read them.
+    section holds the factors it was multiplied from and the moment table
+    they are windows into, (P, Q, x_odd, x_even, c, table) as returned by
+    _chain_section; the open chains read them.
     """
 
     matrix: np.ndarray
@@ -58,15 +60,13 @@ class KernelMatrix:
         if n_max < 0:
             raise ValueError("n_max must be non-negative")
         K = self.matrix
-        p = np.zeros(n_max, dtype=K.dtype)
-        if n_max >= 1:
-            p[0] = np.trace(K)
-        power = K                                  # K^(n-1) at step n
+        KT, power = K.T, K                         # power is K^(n-1) at step n
+        p = [K.trace()] if n_max else []
         for n in range(2, n_max + 1):
-            p[n - 1] = np.sum(power * K.T)
+            p.append((power * KT).sum())
             if n < n_max:
                 power = power @ K
-        return p
+        return np.array(p, dtype=K.dtype)
 
     def trace_power(self, n: int) -> float:
         """tr(K^n), the last of the power sums p_1..p_n."""
@@ -78,15 +78,17 @@ class KernelMatrix:
 def _chain_section(params: ModelParams, grid: ContourGrid, N: int):
     """Hankel factors P, Q of the chain kernel at separation N.
 
-    Both are windows into the grid's moment table (toeplitz.moment_table)
-    of the weights odd, even = qq, pp below T_c and qq_hat, pp_hat above.
-    Returns (P, Q, x_odd, x_even, c) with x_odd[k] = m_odd(N - 1 + k) and
-    x_even[k] = m_even(N - 1 + k) for k < L, the end vectors of the open
-    chains at N - 1.
+    Both are basic slices of the strided windows of the grid's moment
+    table (toeplitz.moment_table) of the weights odd, even = qq, pp below
+    T_c and qq_hat, pp_hat above: read-only views of its one scaled copy
+    of each moment sequence, with no gather and no per-call scaling.
+    Returns (P, Q, x_odd, x_even, c, table) with x_odd[k] = m_odd(N - 1 + k)
+    and x_even[k] = m_even(N - 1 + k) for k < L, the end vectors of the
+    open chains at N - 1, also views into the table.
     """
     T = moment_table(params, grid, N)
-    idx, ends = N + T.offsets, slice(N, N + T.L)
-    return T.c * T.odd[idx], T.c * T.even[idx], T.odd[ends], T.even[ends], T.c
+    rows, ends = slice(N + 1, N + 1 + T.L), slice(N, N + T.L)
+    return T.odd_windows[rows], T.even_windows[rows], T.odd[ends], T.even[ends], T.c, T
 
 
 def build_kernel(params: ModelParams, grid: ContourGrid, N: int) -> KernelMatrix:
@@ -123,10 +125,12 @@ def ff_coeffs(K: KernelMatrix, n_max: int) -> list[float]:
     if n_max > len(K.matrix):
         raise ValueError(f"n_max={n_max} exceeds the matrix size {len(K.matrix)}")
     p = K.power_sums(n_max).tolist()
-    e = [1.0]
+    e, f = [1.0], [1.0]
     for n in range(1, n_max + 1):
         acc = 0.0
         for k in range(1, n + 1):
-            acc += (-1) ** (k - 1) * e[n - k] * p[k - 1]
+            term = e[n - k] * p[k - 1]
+            acc += term if k % 2 else -term
         e.append(acc / n)
-    return [(-1) ** n * v for n, v in enumerate(e)]
+        f.append(-e[n] if n % 2 else e[n])
+    return f

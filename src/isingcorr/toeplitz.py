@@ -5,9 +5,10 @@ of the symbol on the grid, cached per parameter point and grid), with an
 independent binomial-series convolution available as a second route for
 cross-checks.  The same cached FFTs of the chain weights give their
 contour moments, kept as one real table per grid (moment_table); every
-chain kernel section fredholm builds is a window into it.  The moments
-are real for real alpha on the conjugate-symmetric grid, so the table
-holds the real parts of the FFT moments; their imaginary residue is
+chain kernel section fredholm builds is a pair of basic slices of its
+strided Hankel windows, with no gather.  The moments are real for real
+alpha on the conjugate-symmetric grid, so the table holds the real
+parts of the FFT moments; their imaginary residue is
 rounding, at most about eps max|w(z_k)|, and stays with contour_moments,
 the tests' reference.  The coefficients of the symbol, the Toeplitz
 matrices and their determinants and solves stay complex.
@@ -104,16 +105,20 @@ class MomentTable:
     qq_hat, pp_hat above), for i < len(odd), as float64: the weights are
     real on the real axis, so on the conjugate-symmetric grid the moments
     are real and the FFT's imaginary part is rounding, which is dropped
-    here and kept by contour_moments.  c = 1/(1 - r^(2M)), L is
-    the section size and offsets[s, t] = 1 + s + t, so the section at
-    separation N is P = c odd[N + offsets], Q = c even[N + offsets].
+    here and kept by contour_moments.  c = 1/(1 - r^(2M)) and L is the
+    section size.  odd_windows[i] = c odd[i:i + L] and
+    even_windows[i] = c even[i:i + L] are strided views of one scaled
+    copy of each sequence, so the section at separation N is the basic
+    slice P = odd_windows[N + 1:N + 1 + L] (P[s, t] = c odd[N + 1 + s + t])
+    and likewise Q from even_windows.  Every array is read-only.
     """
 
     odd: np.ndarray
     even: np.ndarray
     c: float
     L: int
-    offsets: np.ndarray
+    odd_windows: np.ndarray
+    even_windows: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
@@ -121,11 +126,13 @@ def _moment_table(params: ModelParams, M: int, r: float, length: int) -> MomentT
     suffix = "_hat" if params.regime is Regime.ABOVE else ""
     j1 = np.arange(length)
     odd, even = (_moments(params, M, r, weight + suffix, j1).real.copy() for weight in ("qq", "pp"))
-    L = section_size(params, M)
-    offsets = 1 + np.add.outer(np.arange(L), np.arange(L))
-    for array in (odd, even, offsets):
+    for array in (odd, even):
         array.flags.writeable = False
-    return MomentTable(odd, even, 1.0 / (1.0 - r ** (2 * M)), L, offsets)
+    c, L = 1.0 / (1.0 - r ** (2 * M)), section_size(params, M)
+    # sliding_window_view returns read-only views unless asked otherwise
+    odd_windows, even_windows = (np.lib.stride_tricks.sliding_window_view(c * array, L)
+                                 for array in (odd, even))
+    return MomentTable(odd, even, c, L, odd_windows, even_windows)
 
 
 def moment_table(params: ModelParams, grid: ContourGrid, N: int) -> MomentTable:

@@ -183,6 +183,13 @@ def test_G_regime_guard(below, below_grid):
         ic.G_2n1(below, below_grid, 1, 0)
 
 
+def test_G_rejects_negative_separation(above, above_grid):
+    """G_1 at N = -1 would be entry -1 of the moment table, its last entry."""
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            ic.G_2n1(above, above_grid, -1, n)
+
+
 # ----------------------------------------------------------------------
 # form factors
 # ----------------------------------------------------------------------
@@ -495,3 +502,20 @@ def test_correlation_validation(below, below_grid):
         ic.correlation(below, 2, "nope", 2, below_grid)
     with pytest.raises(ValueError):
         ic.correlation(below, 2, "exp", 7, below_grid)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+@pytest.mark.parametrize("route", ["det", "exp", "ff"])
+def test_correlation_rejects_separation_below_one(monkeypatch, below, below_grid,
+                                                  above, above_grid, route, N):
+    """N < 1 is refused before any work, with one message for every route
+    and regime; a section read at N = 0 gives a "correlation" above 1."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work done for N < 1")
+
+    monkeypatch.setattr(expansions_module, "build_kernel", forbidden)
+    monkeypatch.setattr(expansions_module, "det_DN", forbidden)
+    monkeypatch.setattr(expansions_module, "moment_table", forbidden)
+    for params, grid in ((below, below_grid), (above, above_grid)):
+        with pytest.raises(ValueError, match=f"separation N={N} must be at least 1"):
+            ic.correlation(params, N, route, 3, grid)

@@ -126,9 +126,12 @@ def test_section_is_real(below, below_grid, above, above_grid):
         assert K.matrix.dtype == np.float64 and K.power_sums(3).dtype == np.float64
         assert all(type(v) is float for v in ic.ff_coeffs(K, 3) + [K.trace_power(2)])
         for route in ("exp", "ff"):
-            assert all(t.est_error == 0.0 for t in ic.correlation(params, 2, route, 3, grid).terms)
+            for t in ic.correlation(params, 2, route, 3, grid).terms:
+                assert t.est_error == 0.0
+                assert type(t.value) is float and type(t.est_error) is float, t
     raw = expansions_module._f_2n_direct(below, below_grid, 2, 1)
-    assert ic.f_2n(below, below_grid, 2, 1, method="direct").est_error == abs(raw.imag)
+    term = ic.f_2n(below, below_grid, 2, 1, method="direct")
+    assert term.est_error == abs(raw.imag) and type(term.est_error) is float
 
 
 def test_ff_validation(below, below_grid):
@@ -247,12 +250,32 @@ def test_section_is_a_window_into_the_moment_table(params, M):
     separations = list(range(1, 65)) + ([200] if M == 64 else [])
     for N in separations:
         got, want = _chain_section(params, grid, N), _gathered_section(params, grid, N)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want)), N
+        assert len(got) == 6 and got[5] is moment_table(params, grid, N)
+        assert all(np.array_equal(a, b) for a, b in zip(got[:5], want)), N
         if params.regime is ic.Regime.ABOVE:
             g1 = -contour_moments(params, grid, "pp_hat", N - 1, 1)[0]
             assert ic.G_2n1(params, grid, N, 0).value == g1.real, N
     if params.alpha2 == 0.9:
         assert len(got[0]) == M
+
+
+@pytest.mark.parametrize("alpha2", [0.5, 2.5, 0.9], ids=["below", "above", "L=M"])
+def test_section_factors_are_read_only_views_of_the_table(alpha2):
+    """P, Q and the end vectors are views into the moment table, not copies,
+    and none of them can be written through; at N = 200 the table has grown."""
+    params = ic.diagonal_from_alpha2(alpha2)
+    grid = ic.make_grid(params, 64)
+    for N in (1, 40, 200):
+        P, Q, x_odd, x_even, c, table = _chain_section(params, grid, N)
+        assert P.shape == Q.shape == (table.L, table.L)
+        if alpha2 == 0.9:
+            assert table.L == grid.M
+        for view, base in ((P, table.odd_windows), (Q, table.even_windows),
+                           (x_odd, table.odd), (x_even, table.even)):
+            assert not view.flags.writeable
+            assert np.shares_memory(view, base), N
+        with pytest.raises(ValueError):
+            P[0, 0] = 0.0
 
 
 def test_moment_table_grows_past_its_end(below, below_grid):
