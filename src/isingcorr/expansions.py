@@ -18,7 +18,10 @@ picks: plain below the critical point, hat above.  Closed chains are its
 power sums, form factors follow from them by Newton's identities, and
 open chains are bilinear forms in the same moments, with the section
 taken at separation N+1.  Sections and the lone moment G_1 are read from
-the grid's one moment table (toeplitz.moment_table).  The M-node grid
+the grid's one moment table (toeplitz.moment_table), which also keeps
+the power sums and open chains each section yielded: there is one
+section per (grid, N), shared by the exp and ff routes, every order
+n_max and every per-order term.  The M-node grid
 products (quadrature.chain_integral, _f_2n_direct, _f_2n1_direct) remain
 as independent cross-checks.
 
@@ -39,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegeneratePoints, MethodUnavailable, RegimeMismatch
-from .fredholm import build_kernel, ff_coeffs
+from .fredholm import build_kernel, form_factors
 from .kernels import KernelSet, s_hat_infinity, s_infinity
 from .params import ModelParams, Regime
 from .quadrature import ContourGrid, make_grid
@@ -85,44 +88,63 @@ def _require_regime(params: ModelParams, regime: Regime, what: str) -> None:
 
 
 def _section_terms(params: ModelParams, grid: ContourGrid, N: int, n_max: int,
-                   *parts: str) -> tuple[list, ...]:
+                   *parts: str) -> tuple:
     """The named parts of the kernel section at N to order n_max, in the order asked.
 
     "sums": p_n = tr(K^n), and "closed": -p_n/n, for n = 1..n_max; "form":
-    the form factors (-1)^n e_n for n = 0..n_max (fredholm.ff_coeffs, which
-    bounds n_max by the section size).  All are real.  "open": the open
-    chains of separation N - 1, with x_k = m_pp(N - 1 + k),
+    the form factors (-1)^n e_n for n = 0..n_max (fredholm.form_factors,
+    which bounds n_max by the section size).  All are real.  "open": the
+    open chains of separation N - 1, with x_k = m_pp(N - 1 + k),
     y_k = m_qq(N - 1 + k) and K = PQ: phi_2n = -c x^T K^(n-1) y below T_c
     (n = 1..n_max), G_(2n+1) = -c x^T K^(n-1) P x above (n = 0..n_max;
     G_1 = -m_pphat(N - 2) is one entry of the moment table).  These are
     -c y^T (QP)^(n-1) x and -c x^T P (QP)^(n-1) x, as P and Q are
-    symmetric.  No section is built at n_max = 0.
+    symmetric.
+
+    The power sums and the section's open chains are kept, as two tuples
+    of floats, in the grid's moment table under N (MomentTable.sections),
+    so every route and reader of one (grid, N) shares one section.  Each is
+    computed when a part first asks for it and recomputed to the higher
+    order when one is asked; both sequences are prefix-stable, so a kept
+    value is the one a fresh section gives.  No section is built at
+    n_max = 0.
     """
     below = params.regime is Regime.BELOW
-    K = build_kernel(params, grid, N) if n_max else None
-    found = {}
-    if "sums" in parts or "closed" in parts:
-        p = K.power_sums(n_max).tolist() if K is not None else []
-        found["sums"] = p
-        found["closed"] = [_term(2 * n, N, -p[n - 1] / n) for n in range(1, len(p) + 1)]
-    if "form" in parts:
-        found["form"] = ff_coeffs(K, n_max) if K is not None else [1.0]
-    if "open" in parts:
-        chains = []
-        if not below:
-            # G_1 = -m_pphat(N - 2), entry N - 1 of the table the section at N reads
-            table = K.section[5] if K is not None else moment_table(params, grid, N)
-            chains.append(_term(1, N - 1, -table.even[N - 1]))
-        if K is not None:
+    table = moment_table(params, grid, N)
+    sums, chains = table.sections.get(N, ((), ()))
+    # every part but the open chains reads the power sums
+    short_sums = len(sums) < n_max and parts != ("open",)
+    short_open = len(chains) < n_max and "open" in parts
+    if short_sums or short_open:
+        K = build_kernel(params, grid, N, table)
+        if short_sums:
+            sums = tuple(K.power_sums(n_max).tolist())
+        if short_open:
             P, _, y, x, c, _ = K.section
             # v runs through K^(n-1) y below and K^(n-1) P x above
-            v = y if below else P @ x
+            v, values = (y if below else P @ x), []
             for n in range(1, n_max + 1):
                 if n > 1:
                     v = K.matrix @ v
-                chains.append(_term(2 * n if below else 2 * n + 1, N - 1, -c * (x @ v)))
-        found["open"] = chains
-    return tuple([found[part] for part in parts])
+                values.append(float(-c * (x @ v)))
+            chains = tuple(values)
+        table.sections[N] = sums, chains
+    p = sums[:n_max]
+    found = []
+    for part in parts:
+        if part == "sums":
+            found.append(p)
+        elif part == "closed":
+            found.append([_term(2 * n, N, -p[n - 1] / n) for n in range(1, n_max + 1)])
+        elif part == "form":
+            found.append(form_factors(p, table.L))
+        else:
+            # G_1 = -m_pphat(N - 2), entry N - 1 of the table
+            terms = [] if below else [_term(1, N - 1, -table.even[N - 1])]
+            shift = 0 if below else 1
+            terms += [_term(2 * n + shift, N - 1, v) for n, v in enumerate(chains[:n_max], 1)]
+            found.append(terms)
+    return tuple(found)
 
 
 # ----------------------------------------------------------------------
@@ -458,8 +480,14 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
     critical point the open-chain terms G_2n1 are bilinear forms in the
     same section.
     est_error is the magnitude of the last included term scaled by its
-    prefactor, a heuristic justified by the observed geometric decay of
-    the terms.
+    prefactor: a last-term truncation heuristic, justified by the
+    observed geometric decay of the terms.  It covers neither float64
+    rounding nor grid aliasing.  Above T_c at diagonal alpha2 2.5,
+    M=256, N=23, ff states 9e-97 on a value of 8.6e-11, which rounding
+    alone leaves about 1e-26 off; at diagonal alpha2 0.5, N=30, M=64, exp
+    states 7.9e-48 on 0.93; at diagonal alpha2 0.95, M=64, N=8, where the
+    section is cut at L = M, exp states 7e-5 on 0.0499, 0.52 from the
+    true value.
     """
     if N < 1:
         raise ValueError(f"separation N={N} must be at least 1")
@@ -475,9 +503,10 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
         return ComparisonEntry(N=N, route=route.value, value=value, est_error=0.0,
                                terms=[], M=grid.M, n_max=n_max)
 
-    # one kernel section per entry (plain at N below, hat at N+1 above),
-    # read for the route's part only, and none built at n_max=0; series
-    # holds the closed-chain terms (exp) or the form factors (ff)
+    # the entry's kernel section (plain at N below, hat at N+1 above),
+    # read for the route's part only, shared with the other route and
+    # orders, and none built at n_max=0; series holds the closed-chain
+    # terms (exp) or the form factors (ff)
     part = "closed" if route is Route.EXPONENTIAL else "form"
     if below:
         (series,) = _section_terms(params, grid, N, n_max, part)

@@ -21,12 +21,18 @@ property of the direct grid products alone.
 The section's power sums p_n = tr((PQ)^n) carry the whole family: the
 order-2n closed-chain coefficient is -p_n/n, and Newton's identities
 turn p_1..p_n into the signed elementary symmetric functions of the
-spectrum, which are the form factor terms.  Both expansions are Taylor
+spectrum, which are the form factor terms (form_factors, which
+ff_coeffs and the expansion readers share).  Both expansions are Taylor
 series of det(I - K), which one LU of the section sums to all orders.
+There is one section per (grid, N), shared by every route and order:
+expansions._section_terms keeps the floats it yields, the power sums
+and the open chains, in the moment table under N, and builds the section
+again only for a higher order than it kept.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +40,7 @@ import numpy as np
 from .errors import SpectralRadiusExceeded
 from .params import ModelParams
 from .quadrature import ContourGrid
-from .toeplitz import moment_table
+from .toeplitz import MomentTable, moment_table
 
 
 @dataclass
@@ -75,7 +81,8 @@ class KernelMatrix:
         return float(self.power_sums(n)[n - 1])
 
 
-def _chain_section(params: ModelParams, grid: ContourGrid, N: int):
+def _chain_section(params: ModelParams, grid: ContourGrid, N: int,
+                   table: MomentTable | None = None):
     """Hankel factors P, Q of the chain kernel at separation N.
 
     Both are basic slices of the strided windows of the grid's moment
@@ -84,22 +91,25 @@ def _chain_section(params: ModelParams, grid: ContourGrid, N: int):
     of each moment sequence, with no gather and no per-call scaling.
     Returns (P, Q, x_odd, x_even, c, table) with x_odd[k] = m_odd(N - 1 + k)
     and x_even[k] = m_even(N - 1 + k) for k < L, the end vectors of the
-    open chains at N - 1, also views into the table.
+    open chains at N - 1, also views into the table.  table is
+    moment_table(params, grid, N), looked up here unless the caller holds it.
     """
-    T = moment_table(params, grid, N)
+    T = moment_table(params, grid, N) if table is None else table
     rows, ends = slice(N + 1, N + 1 + T.L), slice(N, N + T.L)
     return T.odd_windows[rows], T.even_windows[rows], T.odd[ends], T.even[ends], T.c, T
 
 
-def build_kernel(params: ModelParams, grid: ContourGrid, N: int) -> KernelMatrix:
+def build_kernel(params: ModelParams, grid: ContourGrid, N: int,
+                 table: MomentTable | None = None) -> KernelMatrix:
     """The L x L section P Q of the closed-chain kernel at separation N.
 
     Its power sums equal those of the M x M grid kernel A B with
     A[j, k] = u_j W_odd(z_j) z_j^N / (1 - z_j z_k) and
     B[k, j] = u_k W_even(z_k) z_k^N / (1 - z_k z_j), up to moments
-    below the rounding level (exactly, when L = M).
+    below the rounding level (exactly, when L = M).  table, when given,
+    is moment_table(params, grid, N), which the caller already holds.
     """
-    section = _chain_section(params, grid, N)
+    section = _chain_section(params, grid, N, table)
     P, Q = section[:2]
     return KernelMatrix(matrix=P @ Q, N=N, M=grid.M, section=section)
 
@@ -122,9 +132,17 @@ def ff_coeffs(K: KernelMatrix, n_max: int) -> list[float]:
     most its size), by Newton's identities on its power sums."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if n_max > len(K.matrix):
-        raise ValueError(f"n_max={n_max} exceeds the matrix size {len(K.matrix)}")
-    p = K.power_sums(n_max).tolist()
+    return form_factors(K.power_sums(n_max).tolist(), len(K.matrix))
+
+
+def form_factors(p: Sequence[float], size: int) -> list[float]:
+    """(-1)^n e_n for n = 0..len(p), by Newton's identities on the power
+    sums p = [p_1, p_2, ...] of a size x size section; each depends on
+    p_1..p_n only, and e_n vanishes past the size, so len(p) may not
+    exceed it."""
+    n_max = len(p)
+    if n_max > size:
+        raise ValueError(f"n_max={n_max} exceeds the matrix size {size}")
     e, f = [1.0], [1.0]
     for n in range(1, n_max + 1):
         acc = 0.0

@@ -6,7 +6,8 @@ independent binomial-series convolution available as a second route for
 cross-checks.  The same cached FFTs of the chain weights give their
 contour moments, kept as one real table per grid (moment_table); every
 chain kernel section fredholm builds is a pair of basic slices of its
-strided Hankel windows, with no gather.  The moments are real for real
+strided Hankel windows, with no gather, and the table keeps the floats
+each section yields (MomentTable.sections).  The moments are real for real
 alpha on the conjugate-symmetric grid, so the table holds the real
 parts of the FFT moments; their imaginary residue is
 rounding, at most about eps max|w(z_k)|, and stays with contour_moments,
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,6 +112,11 @@ class MomentTable:
     copy of each sequence, so the section at separation N is the basic
     slice P = odd_windows[N + 1:N + 1 + L] (P[s, t] = c odd[N + 1 + s + t])
     and likewise Q from even_windows.  Every array is read-only.
+
+    sections maps a separation N to what its section has yielded, the
+    tuples (power sums, open chains) of floats that
+    expansions._section_terms keeps: the one mutable part, which lives
+    and dies with the cached table, so clear_cache empties it too.
     """
 
     odd: np.ndarray
@@ -119,6 +125,7 @@ class MomentTable:
     L: int
     odd_windows: np.ndarray
     even_windows: np.ndarray
+    sections: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @functools.lru_cache(maxsize=64)
