@@ -21,9 +21,12 @@ taken at separation N+1.  Sections and the lone moment G_1 are read from
 the grid's one moment table (toeplitz.moment_table), which also keeps
 the power sums and open chains each section yielded: there is one
 section per (grid, N), shared by the exp and ff routes, every order
-n_max and every per-order term.  The M-node grid
+n_max and every per-order term.  Section values stay float end to end:
+the record holds Python floats, and each becomes an
+ExpansionTerm(order, N, value, 0.0, SECTION) directly.  The M-node grid
 products (quadrature.chain_integral, _f_2n_direct, _f_2n1_direct) remain
-as independent cross-checks.
+as independent cross-checks; they are complex by rounding, and _term
+keeps their imaginary residue as est_error.
 
 The odd-order signs are anchored end to end against the determinant
 route (both routes must produce the same signed number), which also
@@ -42,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegeneratePoints, MethodUnavailable, RegimeMismatch
-from .fredholm import build_kernel, form_factors
+from .fredholm import _chain_section, build_kernel, form_factors
 from .kernels import KernelSet, s_hat_infinity, s_infinity
 from .params import ModelParams, Regime
 from .quadrature import ContourGrid, make_grid
@@ -76,10 +79,13 @@ class ExpansionTerm:
     method: Method
 
 
-def _term(order: int, N: int, raw: complex, method: Method = Method.SECTION) -> ExpansionTerm:
-    """The term of a real section value or a complex grid product, as Python floats."""
+def _term(order: int, N: int, raw: complex) -> ExpansionTerm:
+    """The term of a direct grid product, as Python floats: its real part,
+    with the imaginary residue as est_error.  Section values are real and
+    never pass through here; they become ExpansionTerm(..., 0.0, SECTION)
+    straight from their floats."""
     raw = complex(raw)
-    return ExpansionTerm(order, N, raw.real, abs(raw.imag), method)
+    return ExpansionTerm(order, N, raw.real, abs(raw.imag), Method.DIRECT)
 
 
 def _require_regime(params: ModelParams, regime: Regime, what: str) -> None:
@@ -91,15 +97,17 @@ def _section_terms(params: ModelParams, grid: ContourGrid, N: int, n_max: int,
                    *parts: str) -> tuple:
     """The named parts of the kernel section at N to order n_max, in the order asked.
 
-    "sums": p_n = tr(K^n), and "closed": -p_n/n, for n = 1..n_max; "form":
-    the form factors (-1)^n e_n for n = 0..n_max (fredholm.form_factors,
-    which bounds n_max by the section size).  All are real.  "open": the
+    "sums": p_n = tr(K^n), and "closed": the terms -p_n/n, for
+    n = 1..n_max; "form": the form factors (-1)^n e_n for n = 0..n_max
+    (fredholm.form_factors, which bounds n_max by the section size).  The
     open chains of separation N - 1, with x_k = m_pp(N - 1 + k),
-    y_k = m_qq(N - 1 + k) and K = PQ: phi_2n = -c x^T K^(n-1) y below T_c
-    (n = 1..n_max), G_(2n+1) = -c x^T K^(n-1) P x above (n = 0..n_max;
-    G_1 = -m_pphat(N - 2) is one entry of the moment table).  These are
-    -c y^T (QP)^(n-1) x and -c x^T P (QP)^(n-1) x, as P and Q are
-    symmetric.
+    y_k = m_qq(N - 1 + k) and K = PQ, are "phi" below T_c, the terms
+    phi_2n = -c x^T K^(n-1) y (n = 1..n_max), and "G" above, the terms
+    G_(2n+1) = -c x^T K^(n-1) P x (n = 0..n_max; G_1 = -m_pphat(N - 2) is
+    one entry of the moment table); the caller asks for its regime's.
+    These are -c y^T (QP)^(n-1) x and -c x^T P (QP)^(n-1) x, as P and Q
+    are symmetric.  Every value is a Python float, and every term is
+    ExpansionTerm(order, N, value, 0.0, SECTION).
 
     The power sums and the section's open chains are kept, as two tuples
     of floats, in the grid's moment table under N (MomentTable.sections),
@@ -107,22 +115,23 @@ def _section_terms(params: ModelParams, grid: ContourGrid, N: int, n_max: int,
     computed when a part first asks for it and recomputed to the higher
     order when one is asked; both sequences are prefix-stable, so a kept
     value is the one a fresh section gives.  No section is built at
-    n_max = 0.
+    n_max = 0, and the end vectors are read only for the open chains.
     """
-    below = params.regime is Regime.BELOW
     table = moment_table(params, grid, N)
     sums, chains = table.sections.get(N, ((), ()))
+    opened = "phi" in parts or "G" in parts
     # every part but the open chains reads the power sums
-    short_sums = len(sums) < n_max and parts != ("open",)
-    short_open = len(chains) < n_max and "open" in parts
+    short_sums = len(sums) < n_max and not (opened and len(parts) == 1)
+    short_open = len(chains) < n_max and opened
     if short_sums or short_open:
         K = build_kernel(params, grid, N, table)
         if short_sums:
             sums = tuple(K.power_sums(n_max).tolist())
         if short_open:
-            P, _, y, x, c, _ = K.section
+            ends, c = slice(N, N + table.L), table.c
+            x, y = table.even[ends], table.odd[ends]
             # v runs through K^(n-1) y below and K^(n-1) P x above
-            v, values = (y if below else P @ x), []
+            v, values = (y if "phi" in parts else _chain_section(table, N)[0] @ x), []
             for n in range(1, n_max + 1):
                 if n > 1:
                     v = K.matrix @ v
@@ -135,14 +144,18 @@ def _section_terms(params: ModelParams, grid: ContourGrid, N: int, n_max: int,
         if part == "sums":
             found.append(p)
         elif part == "closed":
-            found.append([_term(2 * n, N, -p[n - 1] / n) for n in range(1, n_max + 1)])
+            found.append([ExpansionTerm(2 * n, N, -p[n - 1] / n, 0.0, Method.SECTION)
+                          for n in range(1, n_max + 1)])
         elif part == "form":
             found.append(form_factors(p, table.L))
         else:
-            # G_1 = -m_pphat(N - 2), entry N - 1 of the table
-            terms = [] if below else [_term(1, N - 1, -table.even[N - 1])]
-            shift = 0 if below else 1
-            terms += [_term(2 * n + shift, N - 1, v) for n, v in enumerate(chains[:n_max], 1)]
+            terms, shift = [], 0
+            if part == "G":
+                # G_1 = -m_pphat(N - 2), entry N - 1 of the table
+                terms, shift = [ExpansionTerm(1, N - 1, -float(table.even[N - 1]), 0.0,
+                                              Method.SECTION)], 1
+            terms += [ExpansionTerm(2 * n + shift, N - 1, v, 0.0, Method.SECTION)
+                      for n, v in enumerate(chains[:n_max], 1)]
             found.append(terms)
     return tuple(found)
 
@@ -173,7 +186,7 @@ def Ftilde_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> Expansi
         raise ValueError("closed chains start at n=1")
     _require_regime(params, Regime.BELOW, "Ftilde_2n")
     here, next_sep = (_section_terms(params, grid, S, n, "sums")[0][n - 1] for S in (N, N + 1))
-    return _term(2 * n, N, -(here - next_sep) / n)
+    return ExpansionTerm(2 * n, N, -(here - next_sep) / n, 0.0, Method.SECTION)
 
 
 def phi_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
@@ -182,7 +195,7 @@ def phi_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionT
     if n < 1:
         raise ValueError("open ratio chains start at n=1")
     _require_regime(params, Regime.BELOW, "phi_2n")
-    return _section_terms(params, grid, N + 1, n, "open")[0][n - 1]
+    return _section_terms(params, grid, N + 1, n, "phi")[0][n - 1]
 
 
 def G_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
@@ -199,7 +212,7 @@ def G_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTe
     if N < 0:
         raise ValueError(f"separation N={N} must be non-negative")
     _require_regime(params, Regime.ABOVE, "G_2n1")
-    return _section_terms(params, grid, N + 1, n, "open")[0][n]
+    return _section_terms(params, grid, N + 1, n, "G")[0][n]
 
 
 # ----------------------------------------------------------------------
@@ -247,8 +260,9 @@ def f_2n(params: ModelParams, grid: ContourGrid, N: int, n: int,
     if method is Method.DIRECT:
         if n > 2:
             raise MethodUnavailable("direct grid products are limited to n <= 2")
-        return _term(2 * n, N, _f_2n_direct(params, grid, N, n), method)
-    return _term(2 * n, N, _section_terms(params, grid, N, n, "form")[0][n])
+        return _term(2 * n, N, _f_2n_direct(params, grid, N, n))
+    return ExpansionTerm(2 * n, N, _section_terms(params, grid, N, n, "form")[0][n], 0.0,
+                         Method.SECTION)
 
 
 def _f_2n1_direct(params: ModelParams, grid: ContourGrid, N: int, n: int) -> complex:
@@ -301,8 +315,8 @@ def f_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int,
     if method is Method.DIRECT:
         if n > 1:
             raise MethodUnavailable("direct grid products are limited to n <= 1")
-        return _term(2 * n + 1, N, _f_2n1_direct(params, grid, N, n), method)
-    chains, form = _section_terms(params, grid, N + 1, n, "open", "form")
+        return _term(2 * n + 1, N, _f_2n1_direct(params, grid, N, n))
+    chains, form = _section_terms(params, grid, N + 1, n, "G", "form")
     return _odd_form_factors(chains, form, N)[n]
 
 
@@ -512,7 +526,7 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
         (series,) = _section_terms(params, grid, N, n_max, part)
         g_terms = []
     else:
-        series, g_terms = _section_terms(params, grid, N + 1, n_max, part, "open")
+        series, g_terms = _section_terms(params, grid, N + 1, n_max, part, "G")
     prefactor = s_infinity(params) if below else s_hat_infinity(params)
     if route is Route.EXPONENTIAL:
         exp_part = math.exp(sum(t.value for t in series))
@@ -525,8 +539,10 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
             value = -prefactor * sum(t.value for t in g_terms) * exp_part
             est = prefactor * exp_part * abs(g_terms[-1].value) + abs(value) * last
     else:
-        terms = ([_term(2 * n, N, c) for n, c in enumerate(series)] if below
-                 else _odd_form_factors(g_terms, series, N))
+        if below:
+            terms = [ExpansionTerm(2 * n, N, c, 0.0, Method.SECTION) for n, c in enumerate(series)]
+        else:
+            terms = _odd_form_factors(g_terms, series, N)
         value = (prefactor if below else -prefactor) * sum(t.value for t in terms)
         est = prefactor * abs(terms[-1].value) if n_max or not below else 0.0
     return ComparisonEntry(N=N, route=route.value, value=float(value),

@@ -13,27 +13,32 @@ reaches the float64 rounding level (L = M is the exact identity).
 Separation enters only as the offset N: every section of a grid is a
 window into its one moment table (toeplitz.moment_table), which holds
 the two moment sequences, c, L and strided Hankel windows of the scaled
-moments, so P and Q are two basic slices of it.  For real alpha
-the moments are real, so the section, its power sums, form factors and
-log det are computed in float64; the imaginary residue of the grid is a
-property of the direct grid products alone.
+moments, so P and Q are two basic slices of it and build_kernel does no
+more than slice them and form K = P Q.  For real alpha the moments are
+real, so the section, its power sums, form factors and log det are
+computed in float64, and what the readers take from it are Python
+floats; the imaginary residue of the grid is a property of the direct
+grid products alone.
 
 The section's power sums p_n = tr((PQ)^n) carry the whole family: the
 order-2n closed-chain coefficient is -p_n/n, and Newton's identities
 turn p_1..p_n into the signed elementary symmetric functions of the
 spectrum, which are the form factor terms (form_factors, which
-ff_coeffs and the expansion readers share).  Both expansions are Taylor
-series of det(I - K), which one LU of the section sums to all orders.
-There is one section per (grid, N), shared by every route and order:
-expansions._section_terms keeps the floats it yields, the power sums
-and the open chains, in the moment table under N, and builds the section
-again only for a higher order than it kept.
+ff_coeffs and the expansion readers share).  The sums, -n times the
+Taylor coefficients of log det(I - zK), are read as traces of two powers
+of K (KernelMatrix.power_sums), each by a formula of its order alone, so
+a shorter list is a bit-exact prefix of a longer one.  Both expansions are
+Taylor series of det(I - K), which one LU of the section sums to all
+orders.  There is one section per (grid, N), shared by every route and
+order: expansions._section_terms keeps the floats it yields, the power
+sums and the open chains, in the moment table under N, and builds the
+section again only for a higher order than it kept.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,34 +50,39 @@ from .toeplitz import MomentTable, moment_table
 
 @dataclass
 class KernelMatrix:
-    """Chain kernel section (L x L) of the M-node grid, immutable after build.
-
-    section holds the factors it was multiplied from and the moment table
-    they are windows into, (P, Q, x_odd, x_even, c, table) as returned by
-    _chain_section; the open chains read them.
-    """
+    """Chain kernel section (L x L) of the M-node grid, immutable after build."""
 
     matrix: np.ndarray
     N: int
     M: int
-    section: tuple = field(default=(), repr=False, compare=False)
 
     def power_sums(self, n_max: int) -> np.ndarray:
-        """p_1..p_{n_max} with p_n = tr(K^n), from one running product.
+        """p_1..p_{n_max} with p_n = tr(K^n), as traces of two powers.
 
-        tr(K^n) is read as the elementwise sum of K^(n-1) * K^T, so the
-        n_max sums cost max(n_max - 2, 0) matrix products.
+        p_1 = tr K, and p_n = sum_ij (K^a)_ij (K^b)_ji with a = ceil(n/2)
+        and b = floor(n/2) for n >= 2: one dot product of K^a with the
+        transposed copy of K^b, with no elementwise temporary.  K^(j+1) is
+        K^j K whatever n_max is, so each p_n is computed by a formula of n
+        alone and the sums are prefix-stable bit for bit
+        (power_sums(n)[:k] equals power_sums(k)).  The n_max sums cost
+        ceil(n_max/2) - 1 matrix products and floor(n_max/2) transposed
+        copies.
         """
         if n_max < 0:
             raise ValueError("n_max must be non-negative")
         K = self.matrix
-        KT, power = K.T, K                         # power is K^(n-1) at step n
-        p = [K.trace()] if n_max else []
+        p = np.empty(n_max, dtype=K.dtype)
+        if n_max:
+            p[0] = np.add.reduce(K.diagonal())
+        # power is K^a and flat the flattened (K^b)^T at step n
+        power = K
         for n in range(2, n_max + 1):
-            p.append((power * KT).sum())
-            if n < n_max:
+            if n % 2:
                 power = power @ K
-        return np.array(p, dtype=K.dtype)
+            else:
+                flat = power.T.ravel()
+            p[n - 1] = np.dot(power.ravel(), flat)
+        return p
 
     def trace_power(self, n: int) -> float:
         """tr(K^n), the last of the power sums p_1..p_n."""
@@ -81,22 +91,17 @@ class KernelMatrix:
         return float(self.power_sums(n)[n - 1])
 
 
-def _chain_section(params: ModelParams, grid: ContourGrid, N: int,
-                   table: MomentTable | None = None):
+def _chain_section(table: MomentTable, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Hankel factors P, Q of the chain kernel at separation N.
 
     Both are basic slices of the strided windows of the grid's moment
-    table (toeplitz.moment_table) of the weights odd, even = qq, pp below
-    T_c and qq_hat, pp_hat above: read-only views of its one scaled copy
-    of each moment sequence, with no gather and no per-call scaling.
-    Returns (P, Q, x_odd, x_even, c, table) with x_odd[k] = m_odd(N - 1 + k)
-    and x_even[k] = m_even(N - 1 + k) for k < L, the end vectors of the
-    open chains at N - 1, also views into the table.  table is
-    moment_table(params, grid, N), looked up here unless the caller holds it.
+    table (toeplitz.moment_table, holding the weights odd, even = qq, pp
+    below T_c and qq_hat, pp_hat above): read-only views of its one
+    scaled copy of each moment sequence, with no gather and no per-call
+    scaling.  P[s, t] = c m_odd(N + s + t) and Q[s, t] = c m_even(N + s + t).
     """
-    T = moment_table(params, grid, N) if table is None else table
-    rows, ends = slice(N + 1, N + 1 + T.L), slice(N, N + T.L)
-    return T.odd_windows[rows], T.even_windows[rows], T.odd[ends], T.even[ends], T.c, T
+    rows = slice(N + 1, N + 1 + table.L)
+    return table.odd_windows[rows], table.even_windows[rows]
 
 
 def build_kernel(params: ModelParams, grid: ContourGrid, N: int,
@@ -109,9 +114,8 @@ def build_kernel(params: ModelParams, grid: ContourGrid, N: int,
     below the rounding level (exactly, when L = M).  table, when given,
     is moment_table(params, grid, N), which the caller already holds.
     """
-    section = _chain_section(params, grid, N, table)
-    P, Q = section[:2]
-    return KernelMatrix(matrix=P @ Q, N=N, M=grid.M, section=section)
+    P, Q = _chain_section(moment_table(params, grid, N) if table is None else table, N)
+    return KernelMatrix(P @ Q, N, grid.M)
 
 
 def log_det_expansion(K: KernelMatrix) -> float:
@@ -132,6 +136,8 @@ def ff_coeffs(K: KernelMatrix, n_max: int) -> list[float]:
     most its size), by Newton's identities on its power sums."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
+    if n_max > len(K.matrix):
+        raise ValueError(f"n_max={n_max} exceeds the matrix size {len(K.matrix)}")
     return form_factors(K.power_sums(n_max).tolist(), len(K.matrix))
 
 

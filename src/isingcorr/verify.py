@@ -54,16 +54,17 @@ def suite_lemma1(M: int = 64, **_) -> list[dict]:
 
     The bound is a truncation statement (10x the first omitted term), so
     the grid must be fine enough that quadrature aliasing sits below it;
-    128 nodes achieve that across the tested parameter box.
+    128 nodes achieve that across the tested parameter box.  The omitted
+    term is read first, so each section is built once, at its highest order.
     """
     out = []
     for alpha2 in (0.4, 0.6):
         p = diagonal_from_alpha2(alpha2)
         g = make_grid(p, max(M, 128))
         for N in range(1, 6):
+            omitted = abs(ex.phi_2n(p, g, N, 3).value)
             x0 = solve_x(p, N, "A", g)[0]
             series = 1.0 + sum(ex.phi_2n(p, g, N, n).value for n in (1, 2))
-            omitted = abs(ex.phi_2n(p, g, N, 3).value)
             tol = 10.0 * omitted + 1e-14
             out.append(_record("lemma1", f"alpha2={alpha2} N={N}",
                                abs(x0 - series), tol))
@@ -71,18 +72,24 @@ def suite_lemma1(M: int = 64, **_) -> list[dict]:
 
 
 def suite_lemma2(M: int = 64, **_) -> list[dict]:
-    """Recursion n*phi(2n) = sum_l l*Ftilde(2l)*phi(2n-2l)."""
+    """Recursion n*phi(2n) = sum_l l*Ftilde(2l)*phi(2n-2l).
+
+    Every term is read up front, highest order first, so each section is
+    built once for its power sums and once for its open chains.
+    """
     p = diagonal_from_alpha2(0.5)
     g = make_grid(p, M)
+    phi, Ftilde = {}, {}
+    for N in range(1, 5):
+        for k in (3, 2, 1):
+            phi[N, k] = ex.phi_2n(p, g, N, k).value
+            Ftilde[N, k] = ex.Ftilde_2n(p, g, N, k).value
+        phi[N, 0] = 1.0
     out = []
     for n in (2, 3):
         for N in range(1, 5):
-            phis = {0: 1.0}
-            for k in range(1, n + 1):
-                phis[k] = ex.phi_2n(p, g, N, k).value
-            lhs = n * phis[n]
-            rhs = sum(l * ex.Ftilde_2n(p, g, N, l).value * phis[n - l]
-                      for l in range(1, n + 1))
+            lhs = n * phi[N, n]
+            rhs = sum(l * Ftilde[N, l] * phi[N, n - l] for l in range(1, n + 1))
             out.append(_record("lemma2", f"alpha2=0.5 n={n} N={N}",
                                abs(lhs - rhs), 1e-9))
     return out
@@ -115,14 +122,16 @@ def suite_perm(trials: int = 100, seed: int = 0, **_) -> list[dict]:
 
 
 def suite_resum(M: int = 64, **_) -> list[dict]:
-    """Form factors from the spectrum vs regrouped chain coefficients."""
+    """Form factors from the spectrum vs regrouped chain coefficients.
+
+    Both are read from one section per N, built for the order-6 chain.
+    """
     p = diagonal_from_alpha2(0.5)
     g = make_grid(p, M)
     out = []
     for N in range(1, 4):
-        F = {n: ex.F_2n(p, g, N, n).value for n in (1, 2, 3)}
-        K = build_kernel(p, g, N)
-        f = ff_coeffs(K, 3)
+        F = {n: ex.F_2n(p, g, N, n).value for n in (3, 2, 1)}
+        f = {n: ex.f_2n(p, g, N, n).value for n in (1, 2, 3)}
         expected = {
             1: F[1],
             2: F[2] + F[1] ** 2 / 2.0,

@@ -142,6 +142,64 @@ def test_ff_validation(below, below_grid):
         ic.ff_coeffs(K, 100)
 
 
+#: the seven points of the value recipe: three diagonal, three direct, one row
+RECIPE_POINTS = [
+    ic.diagonal_from_alpha2(0.5), ic.diagonal_from_alpha2(0.9), ic.diagonal_from_alpha2(2.5),
+    ic.direct(0.2, 0.5), ic.direct(0.2, 3.0), ic.direct(0.05, 5.0),
+    ic.from_couplings(ic.Kind.ROW, 0.6, 0.5),
+]
+RECIPE_IDS = [f"{p.kind.value}-{p.alpha1:.3g}-{p.alpha2:.3g}" for p in RECIPE_POINTS]
+
+
+@pytest.mark.parametrize("params", RECIPE_POINTS, ids=RECIPE_IDS)
+def test_power_sums_are_prefix_stable_bit_for_bit(params):
+    """power_sums(n)[:k] is power_sums(k), bit for bit, for k <= n <= min(L, 12):
+    the section record relies on it."""
+    grid = ic.make_grid(params, 64)
+    for N in (1, 7):
+        K = ic.build_kernel(params, grid, N)
+        top = min(len(K.matrix), 12)
+        sums = {n: K.power_sums(n) for n in range(top + 1)}
+        for n in range(top + 1):
+            assert sums[n].dtype == np.float64 and len(sums[n]) == n
+            for k in range(n + 1):
+                assert sums[n][:k].tobytes() == sums[k].tobytes(), (N, n, k)
+
+
+@pytest.mark.parametrize("M", [64, 256])
+@pytest.mark.parametrize("params", RECIPE_POINTS, ids=RECIPE_IDS)
+def test_power_sums_and_form_factors_match_the_spectrum(params, M):
+    """p_n = sum lambda^n and the form factors (-1)^n e_n = np.poly(K) up to n = L.
+
+    The scale is s^n with s the nuclear norm of K, which bounds
+    sum |lambda|^n; most eigenvalues are rounding noise, so the spectrum
+    has no better relative accuracy to test against."""
+    grid = ic.make_grid(params, M)
+    tiny = np.finfo(float).tiny
+    for N in (1, 7):
+        K = ic.build_kernel(params, grid, N)
+        L = len(K.matrix)
+        lam = np.linalg.eigvals(K.matrix)
+        s = np.linalg.norm(K.matrix, "nuc")
+        n = np.arange(L + 1)
+        want = np.array([np.sum(lam ** k).real for k in n[1:]])
+        gap = np.abs(K.power_sums(L) - want) / np.maximum(s ** n[1:], tiny)
+        assert np.max(gap) < 1e-12, (N, int(np.argmax(gap)) + 1, np.max(gap))
+        gap = np.abs(np.array(ic.ff_coeffs(K, L)) - np.poly(K.matrix).real) / np.maximum(s ** n, tiny)
+        assert np.max(gap) < 1e-12, (N, int(np.argmax(gap)), np.max(gap))
+
+
+def test_ff_coeffs_rejects_orders_past_the_size_before_summing(monkeypatch, below, below_grid):
+    K = ic.build_kernel(below, below_grid, 1)
+
+    def forbidden(self, n_max):
+        raise AssertionError("power sums computed for an order past the section size")
+
+    monkeypatch.setattr(KernelMatrix, "power_sums", forbidden)
+    with pytest.raises(ValueError, match="exceeds the matrix size"):
+        ic.ff_coeffs(K, len(K.matrix) + 1)
+
+
 # ----------------------------------------------------------------------
 # the L x L section against the M x M grid kernel
 # ----------------------------------------------------------------------
@@ -249,9 +307,13 @@ def test_section_is_a_window_into_the_moment_table(params, M):
     grid = ic.make_grid(params, M)
     separations = list(range(1, 65)) + ([200] if M == 64 else [])
     for N in separations:
-        got, want = _chain_section(params, grid, N), _gathered_section(params, grid, N)
-        assert len(got) == 6 and got[5] is moment_table(params, grid, N)
-        assert all(np.array_equal(a, b) for a, b in zip(got[:5], want)), N
+        table = moment_table(params, grid, N)
+        ends = slice(N, N + table.L)
+        got = (*_chain_section(table, N), table.odd[ends], table.even[ends], table.c)
+        want = _gathered_section(params, grid, N)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), N
+        K = ic.build_kernel(params, grid, N)
+        assert np.array_equal(K.matrix, got[0] @ got[1]), N
         if params.regime is ic.Regime.ABOVE:
             g1 = -contour_moments(params, grid, "pp_hat", N - 1, 1)[0]
             assert ic.G_2n1(params, grid, N, 0).value == g1.real, N
@@ -266,7 +328,9 @@ def test_section_factors_are_read_only_views_of_the_table(alpha2):
     params = ic.diagonal_from_alpha2(alpha2)
     grid = ic.make_grid(params, 64)
     for N in (1, 40, 200):
-        P, Q, x_odd, x_even, c, table = _chain_section(params, grid, N)
+        table = moment_table(params, grid, N)
+        ends = slice(N, N + table.L)
+        (P, Q), x_odd, x_even = _chain_section(table, N), table.odd[ends], table.even[ends]
         assert P.shape == Q.shape == (table.L, table.L)
         if alpha2 == 0.9:
             assert table.L == grid.M

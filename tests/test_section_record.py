@@ -12,6 +12,7 @@ import isingcorr as ic
 from isingcorr import cli
 from isingcorr import expansions as expansions_module
 from isingcorr import toeplitz as toeplitz_module
+from isingcorr import verify as verify_module
 from isingcorr.toeplitz import moment_table
 
 POINTS = [
@@ -112,6 +113,7 @@ def test_record_gives_the_cold_values(cold, params, M, call_order):
 
 
 def _count_sections(monkeypatch):
+    """Count build_kernel calls per params, from the readers and from verify."""
     built = Counter()
     build = expansions_module.build_kernel
 
@@ -120,6 +122,7 @@ def _count_sections(monkeypatch):
         return build(params, grid, N, *args, **kwargs)
 
     monkeypatch.setattr(expansions_module, "build_kernel", counted)
+    monkeypatch.setattr(verify_module, "build_kernel", counted)
     return built
 
 
@@ -187,3 +190,47 @@ def test_returned_terms_do_not_alias_the_record(below, below_grid, above, above_
             first.terms[0] = first.terms[-1]
             first.terms.append(first.terms[0])
             assert repr(ic.correlation(params, 3, route, 3, grid)) == want
+
+
+#: sections each suite builds at M = 128 on cold caches: lemma1 reads phi_2n
+#: at (alpha2, N) in 2 x 5 places, lemma2 the power sums at N = 1..5 and the
+#: open chains at N = 2..5, resum one section per N = 1..3, and fredholm
+#: builds its six sections itself for their log det
+SUITE_SECTIONS = {"lemma1": 10, "lemma2": 9, "resum": 3, "fredholm": 6}
+
+
+@pytest.mark.parametrize("suite", SUITE_SECTIONS)
+def test_verify_suite_builds_each_section_once(monkeypatch, suite):
+    """Each suite reads a section at its highest order first, so the lower
+    orders come from the record and no section is built twice for one part."""
+    built = _count_sections(monkeypatch)
+    toeplitz_module.clear_cache()
+    records = verify_module.run_suite(suite, M=128)
+    assert all(record["pass"] for record in records)
+    assert sum(built.values()) == SUITE_SECTIONS[suite]
+
+
+def test_verify_all_builds_each_section_once(monkeypatch):
+    """In one run of every suite, resum reads the sections lemma2 kept at
+    alpha2 = 0.5, M = 128, N = 1..3 to order 3, so it builds none."""
+    built = _count_sections(monkeypatch)
+    toeplitz_module.clear_cache()
+    records = verify_module.run_suite("all", trials=5, M=128)
+    assert len(records) == 57
+    assert sum(built.values()) == sum(SUITE_SECTIONS.values()) - SUITE_SECTIONS["resum"]
+
+
+@pytest.mark.parametrize("suite", ["lemma1", "lemma2", "resum"])
+def test_verify_records_do_not_depend_on_the_record(suite):
+    """A suite gives the same records on cold caches and after every section
+    it reads was kept at order 1 only, so its reading order changes no record."""
+    toeplitz_module.clear_cache()
+    cold = verify_module.run_suite(suite, M=128)
+    toeplitz_module.clear_cache()
+    for alpha2 in (0.4, 0.5, 0.6):
+        params = ic.diagonal_from_alpha2(alpha2)
+        grid = ic.make_grid(params, 128)
+        for N in range(1, 6):
+            ic.phi_2n(params, grid, N, 1)
+            ic.F_2n(params, grid, N, 1)
+    assert verify_module.run_suite(suite, M=128) == cold
