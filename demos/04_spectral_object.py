@@ -22,13 +22,13 @@ params = ic.diagonal_from_alpha2(0.5)
 grid = ic.make_grid(params, 64)
 N = 2
 K = ic.build_kernel(params, grid, N)
-L = len(K.matrix)
+L = len(K)
 
-print(f"kernel at separation N = {N}: the {L} x {L} section of the {K.M}-node kernel\n")
+print(f"kernel at separation N = {N}: the {L} x {L} section of the {grid.M}-node kernel\n")
 
 print("section traces turned into form factors (Newton's identities)")
 print("vs the direct M-node grid products:")
-traces = K.power_sums(2)
+traces = ic.power_sums(K, 2)
 ff = ic.ff_coeffs(K, 2)
 for n in (1, 2):
     direct = ic.f_2n(params, grid, N, n, method="direct").value

@@ -40,7 +40,7 @@ from .expansions import (
     partitions,
     phi_2n,
 )
-from .fredholm import KernelMatrix, build_kernel, ff_coeffs, log_det_expansion
+from .fredholm import build_kernel, ff_coeffs, log_det_expansion, power_sums
 from .kernels import KernelSet, s_hat_infinity, s_infinity
 from .params import Kind, ModelParams, Regime, diagonal_from_alpha2, direct, from_couplings
 from .quadrature import ContourGrid, chain_integral, contour_integral, make_grid, refine_until, r_min
@@ -51,8 +51,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchViolation", "ComparisonEntry", "ContourGrid", "CriticalPoint",
     "DegeneratePoints", "ExpansionTerm", "F_2n", "Ftilde_2n", "G_2n1",
-    "InvalidAlphas", "InvalidCoupling", "IsingCorrError", "KernelMatrix",
-    "KernelSet", "Kind", "Method", "MethodUnavailable", "ModelParams",
+    "InvalidAlphas", "InvalidCoupling", "IsingCorrError", "KernelSet",
+    "Kind", "Method", "MethodUnavailable", "ModelParams",
     "NoConvergence", "NonFinite", "Partition", "PoleOnGrid",
     "RadiusOutOfRange", "Regime", "RegimeMismatch", "Route",
     "SingularMatrix", "SpectralRadiusExceeded",
@@ -61,6 +61,6 @@ __all__ = [
     "diagonal_from_alpha2", "direct", "f_2n", "f_2n1", "f_from_F",
     "ff_coeffs", "fourier_coeff", "fourier_coeff_series", "from_couplings",
     "log_det_expansion", "make_grid", "multiplicity", "partitions",
-    "phi_2n", "r_min", "refine_until", "s_hat_infinity", "s_infinity",
-    "solve_x", "__version__",
+    "phi_2n", "power_sums", "r_min", "refine_until", "s_hat_infinity",
+    "s_infinity", "solve_x", "__version__",
 ]

@@ -12,21 +12,19 @@ The bookkeeping is centralized (see docs/measure_conversion.md):
 * order-2n form factor                   = (-1)^n/(n!)^2 * grid-product sum
 * order-(2n+1) form factor               = (-1)^(n+1)/(n!(n+1)!) * grid-product sum
 
-One reader, _section_terms, takes every term from the Hankel section
-P, Q of the chain kernel (see fredholm), whose weights params.regime
-picks: plain below the critical point, hat above.  Closed chains are its
-power sums, form factors follow from them by Newton's identities, and
-open chains are bilinear forms in the same moments, with the section
-taken at separation N+1.  Sections and the lone moment G_1 are read from
-the grid's one moment table (toeplitz.moment_table), which also keeps
-the power sums and open chains each section yielded: there is one
-section per (grid, N), shared by the exp and ff routes, every order
-n_max and every per-order term.  Section values stay float end to end:
-the record holds Python floats, and each becomes an
-ExpansionTerm(order, N, value, 0.0, SECTION) directly.  The M-node grid
-products (quadrature.chain_integral, _f_2n_direct, _f_2n1_direct) remain
-as independent cross-checks; they are complex by rounding, and _term
-keeps their imaginary residue as est_error.
+Every term is read from the Hankel section P, Q of the chain kernel
+through fredholm's two seams, whose weights params.regime picks: plain
+below the critical point, hat above.  section_sums gives the power sums
+p_1..p_n, which are the closed chains and, by Newton's identities
+(fredholm.form_factors), the form factors; section_chains gives the open
+chains, bilinear forms in the same moments with the section taken at
+separation N+1.  Both return Python floats, which fredholm keeps per
+(grid, N) on the grid's moment table, so the exp and ff routes, every
+order n_max and every per-order term share one section; each float
+becomes an ExpansionTerm(order, N, value, 0.0, SECTION) here.  The M-node
+grid products (quadrature.chain_integral, _f_2n_direct, _f_2n1_direct)
+remain as independent cross-checks; they are complex by rounding, and
+_term keeps their imaginary residue as est_error.
 
 The odd-order signs are anchored end to end against the determinant
 route (both routes must produce the same signed number), which also
@@ -41,15 +39,16 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegeneratePoints, MethodUnavailable, RegimeMismatch
-from .fredholm import _chain_section, build_kernel, form_factors
+from .fredholm import form_factors, section_chains, section_sums
 from .kernels import KernelSet, s_hat_infinity, s_infinity
 from .params import ModelParams, Regime
 from .quadrature import ContourGrid, make_grid
-from .toeplitz import det_DN, moment_table
+from .toeplitz import det_DN, section_size
 
 
 class Method(Enum):
@@ -60,16 +59,15 @@ class Method(Enum):
     COMBINATION = "combination"    # assembled from other terms
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
+class ExpansionTerm(NamedTuple):
     """One expansion coefficient at fixed separation.
 
     Terms read from the kernel section are real (its moments are real
-    for real alpha) and carry est_error 0.0.  A direct grid product is
-    complex by rounding; its est_error records the imaginary residue
-    discarded when taking the real part, which on the conjugate-symmetric
-    grid sits at rounding level.  A combination carries the largest
-    est_error of the terms it is built from.
+    for real alpha) and carry est_error 0.0, and so do the combinations
+    built from them.  A direct grid product is complex by rounding; its
+    est_error records the imaginary residue discarded when taking the
+    real part, which on the conjugate-symmetric grid sits at rounding
+    level.
     """
 
     order: int
@@ -81,9 +79,7 @@ class ExpansionTerm:
 
 def _term(order: int, N: int, raw: complex) -> ExpansionTerm:
     """The term of a direct grid product, as Python floats: its real part,
-    with the imaginary residue as est_error.  Section values are real and
-    never pass through here; they become ExpansionTerm(..., 0.0, SECTION)
-    straight from their floats."""
+    with the imaginary residue as est_error."""
     raw = complex(raw)
     return ExpansionTerm(order, N, raw.real, abs(raw.imag), Method.DIRECT)
 
@@ -93,71 +89,14 @@ def _require_regime(params: ModelParams, regime: Regime, what: str) -> None:
         raise RegimeMismatch(f"{what} needs the {regime.value} regime")
 
 
-def _section_terms(params: ModelParams, grid: ContourGrid, N: int, n_max: int,
-                   *parts: str) -> tuple:
-    """The named parts of the kernel section at N to order n_max, in the order asked.
+def _closed(sums: tuple[float, ...], N: int) -> list[ExpansionTerm]:
+    """The closed-chain terms -p_n/n of the power sums p_1, p_2, ... at N."""
+    return [ExpansionTerm(2 * n, N, -p / n, 0.0, Method.SECTION) for n, p in enumerate(sums, 1)]
 
-    "sums": p_n = tr(K^n), and "closed": the terms -p_n/n, for
-    n = 1..n_max; "form": the form factors (-1)^n e_n for n = 0..n_max
-    (fredholm.form_factors, which bounds n_max by the section size).  The
-    open chains of separation N - 1, with x_k = m_pp(N - 1 + k),
-    y_k = m_qq(N - 1 + k) and K = PQ, are "phi" below T_c, the terms
-    phi_2n = -c x^T K^(n-1) y (n = 1..n_max), and "G" above, the terms
-    G_(2n+1) = -c x^T K^(n-1) P x (n = 0..n_max; G_1 = -m_pphat(N - 2) is
-    one entry of the moment table); the caller asks for its regime's.
-    These are -c y^T (QP)^(n-1) x and -c x^T P (QP)^(n-1) x, as P and Q
-    are symmetric.  Every value is a Python float, and every term is
-    ExpansionTerm(order, N, value, 0.0, SECTION).
 
-    The power sums and the section's open chains are kept, as two tuples
-    of floats, in the grid's moment table under N (MomentTable.sections),
-    so every route and reader of one (grid, N) shares one section.  Each is
-    computed when a part first asks for it and recomputed to the higher
-    order when one is asked; both sequences are prefix-stable, so a kept
-    value is the one a fresh section gives.  No section is built at
-    n_max = 0, and the end vectors are read only for the open chains.
-    """
-    table = moment_table(params, grid, N)
-    sums, chains = table.sections.get(N, ((), ()))
-    opened = "phi" in parts or "G" in parts
-    # every part but the open chains reads the power sums
-    short_sums = len(sums) < n_max and not (opened and len(parts) == 1)
-    short_open = len(chains) < n_max and opened
-    if short_sums or short_open:
-        K = build_kernel(params, grid, N, table)
-        if short_sums:
-            sums = tuple(K.power_sums(n_max).tolist())
-        if short_open:
-            ends, c = slice(N, N + table.L), table.c
-            x, y = table.even[ends], table.odd[ends]
-            # v runs through K^(n-1) y below and K^(n-1) P x above
-            v, values = (y if "phi" in parts else _chain_section(table, N)[0] @ x), []
-            for n in range(1, n_max + 1):
-                if n > 1:
-                    v = K.matrix @ v
-                values.append(float(-c * (x @ v)))
-            chains = tuple(values)
-        table.sections[N] = sums, chains
-    p = sums[:n_max]
-    found = []
-    for part in parts:
-        if part == "sums":
-            found.append(p)
-        elif part == "closed":
-            found.append([ExpansionTerm(2 * n, N, -p[n - 1] / n, 0.0, Method.SECTION)
-                          for n in range(1, n_max + 1)])
-        elif part == "form":
-            found.append(form_factors(p, table.L))
-        else:
-            terms, shift = [], 0
-            if part == "G":
-                # G_1 = -m_pphat(N - 2), entry N - 1 of the table
-                terms, shift = [ExpansionTerm(1, N - 1, -float(table.even[N - 1]), 0.0,
-                                              Method.SECTION)], 1
-            terms += [ExpansionTerm(2 * n + shift, N - 1, v, 0.0, Method.SECTION)
-                      for n, v in enumerate(chains[:n_max], 1)]
-            found.append(terms)
-    return tuple(found)
+def _form(params: ModelParams, grid: ContourGrid, N: int, n: int) -> list[float]:
+    """The form factors (-1)^k e_k, k = 0..n, of the section at N (at most its size)."""
+    return form_factors(section_sums(params, grid, N, n), section_size(params, grid.M))
 
 
 # ----------------------------------------------------------------------
@@ -167,12 +106,12 @@ def _section_terms(params: ModelParams, grid: ContourGrid, N: int, n_max: int,
 def F_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
     """Order-2n coefficient of the exponential expansion: -tr(K^n)/n.
 
-    K is the chain kernel at separation N (build_kernel), whose n-th
-    power trace is the closed 2n-site chain.
+    K is the chain kernel section at separation N, whose n-th power
+    trace (fredholm.section_sums) is the closed 2n-site chain.
     """
     if n < 1:
         raise ValueError("closed chains start at n=1")
-    return _section_terms(params, grid, N, n, "closed")[0][n - 1]
+    return _closed(section_sums(params, grid, N, n), N)[n - 1]
 
 
 def Ftilde_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
@@ -185,7 +124,7 @@ def Ftilde_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> Expansi
     if n < 1:
         raise ValueError("closed chains start at n=1")
     _require_regime(params, Regime.BELOW, "Ftilde_2n")
-    here, next_sep = (_section_terms(params, grid, S, n, "sums")[0][n - 1] for S in (N, N + 1))
+    here, next_sep = (section_sums(params, grid, S, n)[n - 1] for S in (N, N + 1))
     return ExpansionTerm(2 * n, N, -(here - next_sep) / n, 0.0, Method.SECTION)
 
 
@@ -195,7 +134,8 @@ def phi_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionT
     if n < 1:
         raise ValueError("open ratio chains start at n=1")
     _require_regime(params, Regime.BELOW, "phi_2n")
-    return _section_terms(params, grid, N + 1, n, "phi")[0][n - 1]
+    return ExpansionTerm(2 * n, N, section_chains(params, grid, N + 1, n)[n - 1], 0.0,
+                         Method.SECTION)
 
 
 def G_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
@@ -212,7 +152,8 @@ def G_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTe
     if N < 0:
         raise ValueError(f"separation N={N} must be non-negative")
     _require_regime(params, Regime.ABOVE, "G_2n1")
-    return _section_terms(params, grid, N + 1, n, "G")[0][n]
+    return ExpansionTerm(2 * n + 1, N, section_chains(params, grid, N + 1, n)[n], 0.0,
+                         Method.SECTION)
 
 
 # ----------------------------------------------------------------------
@@ -261,8 +202,7 @@ def f_2n(params: ModelParams, grid: ContourGrid, N: int, n: int,
         if n > 2:
             raise MethodUnavailable("direct grid products are limited to n <= 2")
         return _term(2 * n, N, _f_2n_direct(params, grid, N, n))
-    return ExpansionTerm(2 * n, N, _section_terms(params, grid, N, n, "form")[0][n], 0.0,
-                         Method.SECTION)
+    return ExpansionTerm(2 * n, N, _form(params, grid, N, n)[n], 0.0, Method.SECTION)
 
 
 def _f_2n1_direct(params: ModelParams, grid: ContourGrid, N: int, n: int) -> complex:
@@ -282,19 +222,17 @@ def _f_2n1_direct(params: ModelParams, grid: ContourGrid, N: int, n: int) -> com
     return complex(total) / 2.0
 
 
-def _odd_form_factors(g_terms: list[ExpansionTerm], hat_ff: list[float],
+def _odd_form_factors(chains: tuple[float, ...], hat_ff: list[float],
                       N: int) -> list[ExpansionTerm]:
-    """Order-(2n+1) form factors for n = 0..len(g_terms)-1.
+    """Order-(2n+1) form factors for n = 0..len(chains)-1.
 
-    Each is the convolution sum_k G_(2k+1) f_hat(2(n-k)) of the open-chain
-    terms with the hat form factors at separation N+1.
+    Each is the convolution sum_k G_(2k+1) f_hat(2(n-k)) of the open
+    chains G_1, G_3, ... with the hat form factors at separation N+1.
     """
-    out, values, est = [], [g.value for g in g_terms], 0.0
-    for n, g in enumerate(g_terms):
-        value = sum(v * hat_ff[n - k] for k, v in enumerate(values[:n + 1]))
-        est = max(est, g.est_error)
-        out.append(ExpansionTerm(2 * n + 1, N, float(value), est, Method.COMBINATION))
-    return out
+    return [ExpansionTerm(2 * n + 1, N,
+                          float(sum(g * hat_ff[n - k] for k, g in enumerate(chains[:n + 1]))),
+                          0.0, Method.COMBINATION)
+            for n in range(len(chains))]
 
 
 def f_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int,
@@ -316,8 +254,8 @@ def f_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int,
         if n > 1:
             raise MethodUnavailable("direct grid products are limited to n <= 1")
         return _term(2 * n + 1, N, _f_2n1_direct(params, grid, N, n))
-    chains, form = _section_terms(params, grid, N + 1, n, "G", "form")
-    return _odd_form_factors(chains, form, N)[n]
+    chains = section_chains(params, grid, N + 1, n)
+    return _odd_form_factors(chains, _form(params, grid, N + 1, n), N)[n]
 
 
 # ----------------------------------------------------------------------
@@ -372,16 +310,14 @@ def f_from_F(params: ModelParams, grid: ContourGrid, N: int, n: int) -> Expansio
     """
     if n == 0:
         return ExpansionTerm(order=0, N=N, value=1.0, est_error=0.0, method=Method.COMBINATION)
-    F, = _section_terms(params, grid, N, n, "closed")
+    F = [t.value for t in _closed(section_sums(params, grid, N, n), N)]
     total = 0.0
     for p in partitions(n):
         piece = 1.0
         for part, mult in p.pairs:
-            piece *= F[part - 1].value ** mult / math.factorial(mult)
+            piece *= F[part - 1] ** mult / math.factorial(mult)
         total += piece
-    est = max(t.est_error for t in F)
-    return ExpansionTerm(order=2 * n, N=N, value=float(total), est_error=est,
-                         method=Method.COMBINATION)
+    return ExpansionTerm(2 * n, N, float(total), 0.0, Method.COMBINATION)
 
 
 # ----------------------------------------------------------------------
@@ -517,32 +453,29 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
         return ComparisonEntry(N=N, route=route.value, value=value, est_error=0.0,
                                terms=[], M=grid.M, n_max=n_max)
 
-    # the entry's kernel section (plain at N below, hat at N+1 above),
-    # read for the route's part only, shared with the other route and
-    # orders, and none built at n_max=0; series holds the closed-chain
-    # terms (exp) or the form factors (ff)
-    part = "closed" if route is Route.EXPONENTIAL else "form"
-    if below:
-        (series,) = _section_terms(params, grid, N, n_max, part)
-        g_terms = []
-    else:
-        series, g_terms = _section_terms(params, grid, N + 1, n_max, part, "G")
+    # the entry's kernel section: plain at N below, hat at N+1 above, where
+    # the open chains G_1, G_3, ... join it; none is built at n_max=0
+    S = N if below else N + 1
+    chains = () if below else section_chains(params, grid, S, n_max)
     prefactor = s_infinity(params) if below else s_hat_infinity(params)
     if route is Route.EXPONENTIAL:
+        series = _closed(section_sums(params, grid, S, n_max), S)
         exp_part = math.exp(sum(t.value for t in series))
         last = abs(series[-1].value) if series else 0.0
         if below:
             terms, value = series, prefactor * exp_part
             est = abs(value) * last
         else:
-            terms = g_terms + series
-            value = -prefactor * sum(t.value for t in g_terms) * exp_part
-            est = prefactor * exp_part * abs(g_terms[-1].value) + abs(value) * last
+            terms = [ExpansionTerm(2 * n + 1, N, g, 0.0, Method.SECTION)
+                     for n, g in enumerate(chains)] + series
+            value = -prefactor * sum(chains) * exp_part
+            est = prefactor * exp_part * abs(chains[-1]) + abs(value) * last
     else:
+        form = _form(params, grid, S, n_max)
         if below:
-            terms = [ExpansionTerm(2 * n, N, c, 0.0, Method.SECTION) for n, c in enumerate(series)]
+            terms = [ExpansionTerm(2 * n, N, f, 0.0, Method.SECTION) for n, f in enumerate(form)]
         else:
-            terms = _odd_form_factors(g_terms, series, N)
+            terms = _odd_form_factors(chains, form, N)
         value = (prefactor if below else -prefactor) * sum(t.value for t in terms)
         est = prefactor * abs(terms[-1].value) if n_max or not below else 0.0
     return ComparisonEntry(N=N, route=route.value, value=float(value),

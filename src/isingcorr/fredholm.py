@@ -14,81 +14,66 @@ Separation enters only as the offset N: every section of a grid is a
 window into its one moment table (toeplitz.moment_table), which holds
 the two moment sequences, c, L and strided Hankel windows of the scaled
 moments, so P and Q are two basic slices of it and build_kernel does no
-more than slice them and form K = P Q.  For real alpha the moments are
-real, so the section, its power sums, form factors and log det are
-computed in float64, and what the readers take from it are Python
-floats; the imaginary residue of the grid is a property of the direct
-grid products alone.
+more than slice them and form the L x L array K = P Q.  For real alpha
+the moments are real, so the section, its power sums, form factors and
+log det are computed in float64, and what the readers take from it are
+Python floats; the imaginary residue of the grid is a property of the
+direct grid products alone.
 
-The section's power sums p_n = tr((PQ)^n) carry the whole family: the
+The section's power sums p_n = tr(K^n) carry the whole family: the
 order-2n closed-chain coefficient is -p_n/n, and Newton's identities
 turn p_1..p_n into the signed elementary symmetric functions of the
-spectrum, which are the form factor terms (form_factors, which
-ff_coeffs and the expansion readers share).  The sums, -n times the
-Taylor coefficients of log det(I - zK), are read as traces of two powers
-of K (KernelMatrix.power_sums), each by a formula of its order alone, so
-a shorter list is a bit-exact prefix of a longer one.  Both expansions are
-Taylor series of det(I - K), which one LU of the section sums to all
-orders.  There is one section per (grid, N), shared by every route and
-order: expansions._section_terms keeps the floats it yields, the power
-sums and the open chains, in the moment table under N, and builds the
-section again only for a higher order than it kept.
+spectrum, which are the form factor terms (form_factors, which ff_coeffs
+and the expansion readers share).  The sums, -n times the Taylor
+coefficients of log det(I - zK), are read as traces of two powers of K
+(power_sums), each by a formula of its order alone, so a shorter list is
+a bit-exact prefix of a longer one.  The open chains of the ratio series
+are bilinear forms in the same moments, with K applied as P (Q v).  Both
+expansions are Taylor series of det(I - K), which one LU of the section
+sums to all orders.  The expansion readers take the sums and the chains
+as Python floats from section_sums and section_chains, which alone keep
+them per (grid, N) in the moment table's record (MomentTable.sections),
+so every route, order and term of one (grid, N) shares one section.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SpectralRadiusExceeded
-from .params import ModelParams
+from .params import ModelParams, Regime
 from .quadrature import ContourGrid
 from .toeplitz import MomentTable, moment_table
 
 
-@dataclass
-class KernelMatrix:
-    """Chain kernel section (L x L) of the M-node grid, immutable after build."""
+def power_sums(K: np.ndarray, n_max: int) -> np.ndarray:
+    """p_1..p_{n_max} with p_n = tr(K^n), as traces of two powers.
 
-    matrix: np.ndarray
-    N: int
-    M: int
-
-    def power_sums(self, n_max: int) -> np.ndarray:
-        """p_1..p_{n_max} with p_n = tr(K^n), as traces of two powers.
-
-        p_1 = tr K, and p_n = sum_ij (K^a)_ij (K^b)_ji with a = ceil(n/2)
-        and b = floor(n/2) for n >= 2: one dot product of K^a with the
-        transposed copy of K^b, with no elementwise temporary.  K^(j+1) is
-        K^j K whatever n_max is, so each p_n is computed by a formula of n
-        alone and the sums are prefix-stable bit for bit
-        (power_sums(n)[:k] equals power_sums(k)).  The n_max sums cost
-        ceil(n_max/2) - 1 matrix products and floor(n_max/2) transposed
-        copies.
-        """
-        if n_max < 0:
-            raise ValueError("n_max must be non-negative")
-        K = self.matrix
-        p = np.empty(n_max, dtype=K.dtype)
-        if n_max:
-            p[0] = np.add.reduce(K.diagonal())
-        # power is K^a and flat the flattened (K^b)^T at step n
-        power = K
-        for n in range(2, n_max + 1):
-            if n % 2:
-                power = power @ K
-            else:
-                flat = power.T.ravel()
-            p[n - 1] = np.dot(power.ravel(), flat)
-        return p
-
-    def trace_power(self, n: int) -> float:
-        """tr(K^n), the last of the power sums p_1..p_n."""
-        if n < 1:
-            raise ValueError("power must be at least 1")
-        return float(self.power_sums(n)[n - 1])
+    p_1 = tr K, and p_n = sum_ij (K^a)_ij (K^b)_ji with a = ceil(n/2)
+    and b = floor(n/2) for n >= 2: one dot product of K^a with the
+    transposed copy of K^b, with no elementwise temporary.  K^(j+1) is
+    K^j K whatever n_max is, so each p_n is computed by a formula of n
+    alone and the sums are prefix-stable bit for bit
+    (power_sums(K, n)[:k] equals power_sums(K, k)).  The n_max sums cost
+    ceil(n_max/2) - 1 matrix products and floor(n_max/2) transposed
+    copies.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    p = np.empty(n_max, dtype=K.dtype)
+    if n_max:
+        p[0] = np.add.reduce(K.diagonal())
+    # power is K^a and flat the flattened (K^b)^T at step n
+    power = K
+    for n in range(2, n_max + 1):
+        if n % 2:
+            power = power @ K
+        else:
+            flat = power.T.ravel()
+        p[n - 1] = np.dot(power.ravel(), flat)
+    return p
 
 
 def _chain_section(table: MomentTable, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +90,7 @@ def _chain_section(table: MomentTable, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_kernel(params: ModelParams, grid: ContourGrid, N: int,
-                 table: MomentTable | None = None) -> KernelMatrix:
+                 table: MomentTable | None = None) -> np.ndarray:
     """The L x L section P Q of the closed-chain kernel at separation N.
 
     Its power sums equal those of the M x M grid kernel A B with
@@ -115,30 +100,73 @@ def build_kernel(params: ModelParams, grid: ContourGrid, N: int,
     is moment_table(params, grid, N), which the caller already holds.
     """
     P, Q = _chain_section(moment_table(params, grid, N) if table is None else table, N)
-    return KernelMatrix(P @ Q, N, grid.M)
+    return P @ Q
 
 
-def log_det_expansion(K: KernelMatrix) -> float:
+def section_sums(params: ModelParams, grid: ContourGrid, N: int, n: int) -> tuple[float, ...]:
+    """The power sums p_1..p_n of the section at separation N, as Python floats.
+
+    They are kept in the table's record under N, and since they are
+    prefix-stable, a section is built only when more are asked for than
+    the record holds: none at n = 0.
+    """
+    table = moment_table(params, grid, N)
+    sums, chains = table.sections.get(N, ((), ()))
+    if len(sums) < n:
+        sums = tuple(power_sums(build_kernel(params, grid, N, table), n).tolist())
+        table.sections[N] = sums, chains
+    return sums[:n]
+
+
+def section_chains(params: ModelParams, grid: ContourGrid, N: int, n: int) -> tuple[float, ...]:
+    """The open chains of separation N - 1 to order n, as Python floats.
+
+    With x_k = m_even(N - 1 + k), y_k = m_odd(N - 1 + k) and K = P Q the
+    section at N, they are phi_2k = -c x^T K^(k-1) y (k = 1..n) below
+    T_c, and above it G_1 = -m_even(N - 2), one entry of the moment table,
+    followed by G_(2k+1) = -c x^T K^(k-1) P x (k = 1..n).  K is applied as
+    P (Q v), so no section is built.  The chains past G_1 are kept in the
+    table's record under N, next to the power sums.
+    """
+    table = moment_table(params, grid, N)
+    sums, chains = table.sections.get(N, ((), ()))
+    above = params.regime is Regime.ABOVE
+    if len(chains) < n:
+        ends, c = slice(N, N + table.L), table.c
+        x, y = table.even[ends], table.odd[ends]
+        P, Q = _chain_section(table, N)
+        # v runs through K^(k-1) y below and K^(k-1) P x above
+        v, values = (P @ x if above else y), []
+        for k in range(1, n + 1):
+            if k > 1:
+                v = P @ (Q @ v)
+            values.append(float(-c * (x @ v)))
+        chains = tuple(values)
+        table.sections[N] = sums, chains
+    if above:
+        return (-float(table.even[N - 1]),) + chains[:n]
+    return chains[:n]
+
+
+def log_det_expansion(K: np.ndarray) -> float:
     """log det(I - K), the exponential series summed to all orders, from one LU.
 
     det(I - K) must be positive (for a complex K, the LU sign must have
     a positive real part); otherwise the log has no real value and
     SpectralRadiusExceeded is raised.
     """
-    sign, logabs = np.linalg.slogdet(np.eye(len(K.matrix)) - K.matrix)
+    sign, logabs = np.linalg.slogdet(np.eye(len(K)) - K)
     if not sign.real > 0.0:
         raise SpectralRadiusExceeded(f"det(I - K) has sign {sign:.6g}, so log det has no real value")
     return float(logabs)
 
 
-def ff_coeffs(K: KernelMatrix, n_max: int) -> list[float]:
+def ff_coeffs(K: np.ndarray, n_max: int) -> list[float]:
     """Form factors f(2n) = (-1)^n e_n of the section K for n = 0..n_max (at
-    most its size), by Newton's identities on its power sums."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    if n_max > len(K.matrix):
-        raise ValueError(f"n_max={n_max} exceeds the matrix size {len(K.matrix)}")
-    return form_factors(K.power_sums(n_max).tolist(), len(K.matrix))
+    most its size, checked before any power sum), by Newton's identities."""
+    if n_max > len(K):
+        raise ValueError(f"n_max={n_max} exceeds the matrix size {len(K)}")
+    return form_factors(power_sums(K, n_max).tolist(), len(K))
 
 
 def form_factors(p: Sequence[float], size: int) -> list[float]:

@@ -6,12 +6,13 @@ independent binomial-series convolution available as a second route for
 cross-checks.  The same cached FFTs of the chain weights give their
 contour moments, kept as one real table per grid (moment_table); every
 chain kernel section fredholm builds is a pair of basic slices of its
-strided Hankel windows, with no gather, and the table keeps the floats
-each section yields (MomentTable.sections).  The moments are real for real
-alpha on the conjugate-symmetric grid, so the table holds the real
-parts of the FFT moments; their imaginary residue is
-rounding, at most about eps max|w(z_k)|, and stays with contour_moments,
-the tests' reference.  The coefficients of the symbol, the Toeplitz
+strided Hankel windows, with no gather, and the table carries the record
+of the floats each section yields (MomentTable.sections), which
+fredholm's section_sums and section_chains alone read and write.  The
+moments are real for real alpha on the conjugate-symmetric grid, so the
+table holds the real parts of the FFT moments; their imaginary residue
+is rounding, at most about eps max|w(z_k)|, and stays with
+contour_moments, the tests' reference.  The coefficients of the symbol, the Toeplitz
 matrices and their determinants and solves stay complex.
 The shifted symbol above the critical point has coefficients
 b_n = a_(n-1), so its N x N matrix is the (N+1) x (N+1) matrix of phi
@@ -114,9 +115,10 @@ class MomentTable:
     and likewise Q from even_windows.  Every array is read-only.
 
     sections maps a separation N to what its section has yielded, the
-    tuples (power sums, open chains) of floats that
-    expansions._section_terms keeps: the one mutable part, which lives
-    and dies with the cached table, so clear_cache empties it too.
+    tuples (power sums, open chains) of floats, owned by
+    fredholm.section_sums and fredholm.section_chains: the one mutable
+    part, which lives and dies with the cached table, so clear_cache
+    empties it too.
     """
 
     odd: np.ndarray

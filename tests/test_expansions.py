@@ -8,6 +8,7 @@ import isingcorr as ic
 from isingcorr import KernelSet, Method, Partition
 from isingcorr import expansions as expansions_module
 from isingcorr import fredholm as fredholm_module
+from isingcorr import toeplitz as toeplitz_module
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +474,7 @@ def test_correlation_at_order_zero_builds_no_section(monkeypatch, below, below_g
         raise AssertionError("kernel section built at n_max=0")
 
     monkeypatch.setattr(fredholm_module, "_chain_section", forbidden)
-    monkeypatch.setattr(expansions_module, "build_kernel", forbidden)
+    monkeypatch.setattr(fredholm_module, "build_kernel", forbidden)
     for N in (1, 4):
         for route in ("exp", "ff"):
             entry = ic.correlation(below, N, route, 0, below_grid)
@@ -487,6 +488,26 @@ def test_correlation_at_order_zero_builds_no_section(monkeypatch, below, below_g
             assert entry.value == pytest.approx(want, rel=1e-14, abs=0.0)
             assert [t.order for t in entry.terms] == [1]
             assert entry.est_error == pytest.approx(abs(want), rel=1e-14)
+
+
+def test_open_chains_alone_build_no_section(monkeypatch, below, below_grid, above, above_grid):
+    """phi_2n and G_2n1 apply the section as P (Q v), so reading them builds none."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kernel section built for an open chain")
+
+    monkeypatch.setattr(fredholm_module, "build_kernel", forbidden)
+    toeplitz_module.clear_cache()
+    for N in (1, 4, 30):
+        for n in (3, 2, 1):
+            assert ic.phi_2n(below, below_grid, N, n).method is Method.SECTION
+        for n in (3, 2, 1, 0):
+            assert ic.G_2n1(above, above_grid, N, n).method is Method.SECTION
+
+
+def test_expansions_reads_sections_through_fredholm_alone():
+    """expansions binds neither the moment table nor fredholm's section builders."""
+    for name in ("moment_table", "_chain_section", "build_kernel"):
+        assert not hasattr(expansions_module, name), name
 
 
 def test_correlation_entry_metadata(below, below_grid):
@@ -513,9 +534,10 @@ def test_correlation_rejects_separation_below_one(monkeypatch, below, below_grid
     def forbidden(*args, **kwargs):
         raise AssertionError("work done for N < 1")
 
-    monkeypatch.setattr(expansions_module, "build_kernel", forbidden)
+    monkeypatch.setattr(expansions_module, "section_sums", forbidden)
+    monkeypatch.setattr(expansions_module, "section_chains", forbidden)
     monkeypatch.setattr(expansions_module, "det_DN", forbidden)
-    monkeypatch.setattr(expansions_module, "moment_table", forbidden)
+    monkeypatch.setattr(fredholm_module, "moment_table", forbidden)
     for params, grid in ((below, below_grid), (above, above_grid)):
         with pytest.raises(ValueError, match=f"separation N={N} must be at least 1"):
             ic.correlation(params, N, route, 3, grid)

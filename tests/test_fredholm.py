@@ -9,7 +9,7 @@ from isingcorr import expansions as expansions_module
 from isingcorr import fredholm as fredholm_module
 from isingcorr import quadrature as quadrature_module
 from isingcorr import toeplitz as toeplitz_module
-from isingcorr.fredholm import KernelMatrix, _chain_section
+from isingcorr.fredholm import _chain_section, section_chains, section_sums
 from isingcorr.toeplitz import contour_moments, moment_table, section_size
 from kernel_oracle import grid_kernel, power_sums
 
@@ -24,8 +24,8 @@ def test_trace_matches_chain(below, below_grid):
     """Section traces are the closed chains: the grid kernel's power sums."""
     K = ic.build_kernel(below, below_grid, 2)
     chain1, chain2 = power_sums(grid_kernel(below, below_grid, 2), 2)
-    assert abs(K.trace_power(1) - chain1) < 1e-12
-    assert abs(K.trace_power(2) - chain2) < 1e-11
+    assert abs(ic.power_sums(K, 1)[0] - chain1) < 1e-12
+    assert abs(ic.power_sums(K, 2)[1] - chain2) < 1e-11
 
 
 def test_degenerate_traces_vanish(degenerate):
@@ -33,14 +33,14 @@ def test_degenerate_traces_vanish(degenerate):
     assert np.max(np.abs(grid_kernel(degenerate, g, 1))) > 0.0
     K = ic.build_kernel(degenerate, g, 1)
     for n in (1, 2, 3):
-        assert abs(K.trace_power(n)) / n < 1e-13
+        assert abs(ic.power_sums(K, n)[n - 1]) / n < 1e-13
 
 
 def test_spectral_radius_below_one(below, below_grid, above, above_grid):
     for params, grid in ((below, below_grid), (above, above_grid)):
         for N in (1, 2, 3):
             K = ic.build_kernel(params, grid, N)
-            assert np.max(np.abs(np.linalg.eigvals(K.matrix))) < 1.0
+            assert np.max(np.abs(np.linalg.eigvals(K))) < 1.0
 
 
 def test_log_det_route_hits_determinant(below, below_grid):
@@ -51,11 +51,11 @@ def test_log_det_route_hits_determinant(below, below_grid):
 
 def test_log_det_spectral_radius_guard():
     """Raised when det(I - K) is not positive, whatever the spectral radius."""
-    K = KernelMatrix(matrix=np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex), N=0, M=4)
+    K = np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(ic.SpectralRadiusExceeded):
         ic.log_det_expansion(K)
     # rho(2 I) = 2, but det(I - 2 I) = 1 has a real log
-    K = KernelMatrix(matrix=np.eye(4, dtype=complex) * 2.0, N=0, M=4)
+    K = np.eye(4, dtype=complex) * 2.0
     assert ic.log_det_expansion(K) == 0.0
 
 
@@ -67,7 +67,7 @@ def test_ff_coeff_zero_is_one(below, below_grid):
 def test_ff_first_coefficient_is_minus_trace(below, below_grid):
     K = ic.build_kernel(below, below_grid, 2)
     ff = ic.ff_coeffs(K, 1)
-    assert ff[1] == pytest.approx(-K.trace_power(1).real, abs=1e-15)
+    assert ff[1] == pytest.approx(-ic.power_sums(K, 1)[0].real, abs=1e-15)
     direct = ic.f_2n(below, below_grid, 2, 1, method="direct").value
     assert abs(ff[1] - direct) < 1e-11
 
@@ -90,7 +90,7 @@ def test_eigen_and_trace_methods_agree(below, above):
         for M in (64, 256):
             K = ic.build_kernel(params, ic.make_grid(params, M), 1)
             # coefficient of lambda^(M-n) in prod(lambda - lambda_i) is (-1)^n e_n
-            from_eigs = np.poly(np.linalg.eigvals(K.matrix))
+            from_eigs = np.poly(np.linalg.eigvals(K))
             for n, value in enumerate(ic.ff_coeffs(K, 3)):
                 assert abs(value - from_eigs[n].real) < 1e-14, (params.regime, M, n)
 
@@ -98,7 +98,7 @@ def test_eigen_and_trace_methods_agree(below, above):
 def test_newton_vs_characteristic_polynomial(below, below_grid):
     K = ic.build_kernel(below, below_grid, 2)
     ff = ic.ff_coeffs(K, 3)
-    charpoly = np.poly(K.matrix)  # coefficient of lambda^(M-n) is (-1)^n e_n
+    charpoly = np.poly(K)  # coefficient of lambda^(M-n) is (-1)^n e_n
     for n in range(4):
         assert abs(ff[n] - charpoly[n].real) < 1e-10
 
@@ -111,7 +111,7 @@ def test_exp_series_duality(below, below_grid):
     itself cancels almost completely against its cross terms).
     """
     K = ic.build_kernel(below, below_grid, 1)
-    f_exp = math.exp(sum(-K.trace_power(n).real / n for n in (1, 2, 3)))
+    f_exp = math.exp(sum(-ic.power_sums(K, n)[n - 1].real / n for n in (1, 2, 3)))
     f_sum = sum(ic.ff_coeffs(K, 3))
     omitted = abs(ic.F_2n(below, below_grid, 1, 4).value)
     assert abs(f_exp - f_sum) <= 10.0 * omitted + 1e-15
@@ -123,8 +123,9 @@ def test_section_is_real(below, below_grid, above, above_grid):
     imaginary residue it drops as its est_error."""
     for params, grid in ((below, below_grid), (above, above_grid)):
         K = ic.build_kernel(params, grid, 2)
-        assert K.matrix.dtype == np.float64 and K.power_sums(3).dtype == np.float64
-        assert all(type(v) is float for v in ic.ff_coeffs(K, 3) + [K.trace_power(2)])
+        assert K.dtype == np.float64 and ic.power_sums(K, 3).dtype == np.float64
+        floats = ic.ff_coeffs(K, 3) + list(section_sums(params, grid, 2, 3))
+        assert all(type(v) is float for v in floats + list(section_chains(params, grid, 2, 3)))
         for route in ("exp", "ff"):
             for t in ic.correlation(params, 2, route, 3, grid).terms:
                 assert t.est_error == 0.0
@@ -153,13 +154,13 @@ RECIPE_IDS = [f"{p.kind.value}-{p.alpha1:.3g}-{p.alpha2:.3g}" for p in RECIPE_PO
 
 @pytest.mark.parametrize("params", RECIPE_POINTS, ids=RECIPE_IDS)
 def test_power_sums_are_prefix_stable_bit_for_bit(params):
-    """power_sums(n)[:k] is power_sums(k), bit for bit, for k <= n <= min(L, 12):
+    """power_sums(K, n)[:k] is power_sums(K, k), bit for bit, for k <= n <= min(L, 12):
     the section record relies on it."""
     grid = ic.make_grid(params, 64)
     for N in (1, 7):
         K = ic.build_kernel(params, grid, N)
-        top = min(len(K.matrix), 12)
-        sums = {n: K.power_sums(n) for n in range(top + 1)}
+        top = min(len(K), 12)
+        sums = {n: ic.power_sums(K, n) for n in range(top + 1)}
         for n in range(top + 1):
             assert sums[n].dtype == np.float64 and len(sums[n]) == n
             for k in range(n + 1):
@@ -178,26 +179,26 @@ def test_power_sums_and_form_factors_match_the_spectrum(params, M):
     tiny = np.finfo(float).tiny
     for N in (1, 7):
         K = ic.build_kernel(params, grid, N)
-        L = len(K.matrix)
-        lam = np.linalg.eigvals(K.matrix)
-        s = np.linalg.norm(K.matrix, "nuc")
+        L = len(K)
+        lam = np.linalg.eigvals(K)
+        s = np.linalg.norm(K, "nuc")
         n = np.arange(L + 1)
         want = np.array([np.sum(lam ** k).real for k in n[1:]])
-        gap = np.abs(K.power_sums(L) - want) / np.maximum(s ** n[1:], tiny)
+        gap = np.abs(ic.power_sums(K, L) - want) / np.maximum(s ** n[1:], tiny)
         assert np.max(gap) < 1e-12, (N, int(np.argmax(gap)) + 1, np.max(gap))
-        gap = np.abs(np.array(ic.ff_coeffs(K, L)) - np.poly(K.matrix).real) / np.maximum(s ** n, tiny)
+        gap = np.abs(np.array(ic.ff_coeffs(K, L)) - np.poly(K).real) / np.maximum(s ** n, tiny)
         assert np.max(gap) < 1e-12, (N, int(np.argmax(gap)), np.max(gap))
 
 
 def test_ff_coeffs_rejects_orders_past_the_size_before_summing(monkeypatch, below, below_grid):
     K = ic.build_kernel(below, below_grid, 1)
 
-    def forbidden(self, n_max):
+    def forbidden(K, n_max):
         raise AssertionError("power sums computed for an order past the section size")
 
-    monkeypatch.setattr(KernelMatrix, "power_sums", forbidden)
+    monkeypatch.setattr(fredholm_module, "power_sums", forbidden)
     with pytest.raises(ValueError, match="exceeds the matrix size"):
-        ic.ff_coeffs(K, len(K.matrix) + 1)
+        ic.ff_coeffs(K, len(K) + 1)
 
 
 # ----------------------------------------------------------------------
@@ -217,8 +218,8 @@ def test_section_power_sums_match_grid_kernel():
         grid = ic.make_grid(params, 256)
         for N in range(1, 9):
             K = ic.build_kernel(params, grid, N)
-            assert len(K.matrix) < grid.M and K.M == grid.M
-            gap = np.max(np.abs(K.power_sums(3) - power_sums(grid_kernel(params, grid, N), 3)))
+            assert K.shape == (section_size(params, grid.M),) * 2 and len(K) < grid.M
+            gap = np.max(np.abs(ic.power_sums(K, 3) - power_sums(grid_kernel(params, grid, N), 3)))
             assert gap < 1e-16, (params.alpha1, params.alpha2, N, gap)
 
 
@@ -229,9 +230,9 @@ def test_section_is_the_grid_kernel_when_L_equals_M():
         grid = ic.make_grid(params, 64)
         for N in (1, 4, 8):
             K = ic.build_kernel(params, grid, N)
-            assert len(K.matrix) == 64
+            assert len(K) == 64
             oracle = grid_kernel(params, grid, N)
-            assert np.max(np.abs(K.power_sums(3) - power_sums(oracle, 3))) < 1e-14
+            assert np.max(np.abs(ic.power_sums(K, 3) - power_sums(oracle, 3))) < 1e-14
             from_eigs = np.poly(np.linalg.eigvals(oracle))[:4].real
             assert np.max(np.abs(np.array(ic.ff_coeffs(K, 3)) - from_eigs)) < 1e-14
 
@@ -313,7 +314,7 @@ def test_section_is_a_window_into_the_moment_table(params, M):
         want = _gathered_section(params, grid, N)
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), N
         K = ic.build_kernel(params, grid, N)
-        assert np.array_equal(K.matrix, got[0] @ got[1]), N
+        assert np.array_equal(K, got[0] @ got[1]), N
         if params.regime is ic.Regime.ABOVE:
             g1 = -contour_moments(params, grid, "pp_hat", N - 1, 1)[0]
             assert ic.G_2n1(params, grid, N, 0).value == g1.real, N

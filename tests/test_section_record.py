@@ -10,7 +10,7 @@ import pytest
 
 import isingcorr as ic
 from isingcorr import cli
-from isingcorr import expansions as expansions_module
+from isingcorr import fredholm as fredholm_module
 from isingcorr import toeplitz as toeplitz_module
 from isingcorr import verify as verify_module
 from isingcorr.toeplitz import moment_table
@@ -113,15 +113,15 @@ def test_record_gives_the_cold_values(cold, params, M, call_order):
 
 
 def _count_sections(monkeypatch):
-    """Count build_kernel calls per params, from the readers and from verify."""
+    """Count build_kernel calls per params, from fredholm's section seam and from verify."""
     built = Counter()
-    build = expansions_module.build_kernel
+    build = fredholm_module.build_kernel
 
     def counted(params, grid, N, *args, **kwargs):
         built[params] += 1
         return build(params, grid, N, *args, **kwargs)
 
-    monkeypatch.setattr(expansions_module, "build_kernel", counted)
+    monkeypatch.setattr(fredholm_module, "build_kernel", counted)
     monkeypatch.setattr(verify_module, "build_kernel", counted)
     return built
 
@@ -192,11 +192,11 @@ def test_returned_terms_do_not_alias_the_record(below, below_grid, above, above_
             assert repr(ic.correlation(params, 3, route, 3, grid)) == want
 
 
-#: sections each suite builds at M = 128 on cold caches: lemma1 reads phi_2n
-#: at (alpha2, N) in 2 x 5 places, lemma2 the power sums at N = 1..5 and the
-#: open chains at N = 2..5, resum one section per N = 1..3, and fredholm
-#: builds its six sections itself for their log det
-SUITE_SECTIONS = {"lemma1": 10, "lemma2": 9, "resum": 3, "fredholm": 6}
+#: sections each suite builds at M = 128 on cold caches: lemma1 reads only
+#: open chains, which build none, lemma2 the power sums at N = 1..5, resum
+#: one section per N = 1..3, and fredholm builds its six sections itself
+#: for their log det
+SUITE_SECTIONS = {"lemma1": 0, "lemma2": 5, "resum": 3, "fredholm": 6}
 
 
 @pytest.mark.parametrize("suite", SUITE_SECTIONS)
@@ -212,12 +212,12 @@ def test_verify_suite_builds_each_section_once(monkeypatch, suite):
 
 def test_verify_all_builds_each_section_once(monkeypatch):
     """In one run of every suite, resum reads the sections lemma2 kept at
-    alpha2 = 0.5, M = 128, N = 1..3 to order 3, so it builds none."""
+    alpha2 = 0.5, M = 128, N = 1..3 to order 3, so it builds none: 11 in all."""
     built = _count_sections(monkeypatch)
     toeplitz_module.clear_cache()
     records = verify_module.run_suite("all", trials=5, M=128)
     assert len(records) == 57
-    assert sum(built.values()) == sum(SUITE_SECTIONS.values()) - SUITE_SECTIONS["resum"]
+    assert sum(built.values()) == sum(SUITE_SECTIONS.values()) - SUITE_SECTIONS["resum"] == 11
 
 
 @pytest.mark.parametrize("suite", ["lemma1", "lemma2", "resum"])
