@@ -12,8 +12,8 @@ fredholm's section_sums and section_chains alone read and write.  The
 moments are real for real alpha on the conjugate-symmetric grid, so the
 table holds the real parts of the FFT moments; their imaginary residue
 is rounding, at most about eps max|w(z_k)|, and stays with
-contour_moments, the tests' reference.  The coefficients of the symbol, the Toeplitz
-matrices and their determinants and solves stay complex.
+contour_moments, the tests' reference.  The coefficients of the symbol,
+the Toeplitz matrices and their determinants and solves stay complex.
 The shifted symbol above the critical point has coefficients
 b_n = a_(n-1), so its N x N matrix is the (N+1) x (N+1) matrix of phi
 without its last row and first column; det_DhatN and solve_x read it

@@ -55,7 +55,8 @@ def suite_lemma1(M: int = 64, **_) -> list[dict]:
     The bound is a truncation statement (10x the first omitted term), so
     the grid must be fine enough that quadrature aliasing sits below it;
     128 nodes achieve that across the tested parameter box.  The omitted
-    term is read first, so each section is built once, at its highest order.
+    term is read first, so each sequence of open chains is computed once,
+    at its highest order; open chains build no section.
     """
     out = []
     for alpha2 in (0.4, 0.6):
@@ -75,7 +76,7 @@ def suite_lemma2(M: int = 64, **_) -> list[dict]:
     """Recursion n*phi(2n) = sum_l l*Ftilde(2l)*phi(2n-2l).
 
     Every term is read up front, highest order first, so each section is
-    built once for its power sums and once for its open chains.
+    built once, for its power sums; the open chains build none.
     """
     p = diagonal_from_alpha2(0.5)
     g = make_grid(p, M)
