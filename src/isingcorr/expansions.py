@@ -20,7 +20,10 @@ p_1..p_n, which are the closed chains and, by Newton's identities
 chains, bilinear forms in the same moments with the section taken at
 separation N+1.  Both return Python floats, which fredholm keeps per
 (grid, N) on the grid's moment table, so the exp and ff routes, every
-order n_max and every per-order term share one section; each float
+order n_max and every per-order term share one section; a miss fills a
+block of consecutive separations at once, which the entries and terms at
+the next separations then read.  Above T_c the entries read the power
+sums before the open chains, so one pass fills both.  Each float
 becomes an ExpansionTerm(order, N, value, 0.0, SECTION) here.  The M-node
 grid products (quadrature.chain_integral, _f_2n_direct, _f_2n1_direct)
 remain as independent cross-checks; they are complex by rounding, and
@@ -33,6 +36,7 @@ fixes the branch of the symbol above the critical point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -254,8 +258,8 @@ def f_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int,
         if n > 1:
             raise MethodUnavailable("direct grid products are limited to n <= 1")
         return _term(2 * n + 1, N, _f_2n1_direct(params, grid, N, n))
-    chains = section_chains(params, grid, N + 1, n)
-    return _odd_form_factors(chains, _form(params, grid, N + 1, n), N)[n]
+    form = _form(params, grid, N + 1, n)
+    return _odd_form_factors(section_chains(params, grid, N + 1, n), form, N)[n]
 
 
 # ----------------------------------------------------------------------
@@ -277,8 +281,13 @@ class Partition:
         return sum(part * mult for part, mult in self.pairs)
 
 
-def partitions(n: int) -> list[Partition]:
-    """All partitions of n, as (part, multiplicity) pair sets."""
+@functools.lru_cache(maxsize=None)
+def partitions(n: int) -> tuple[Partition, ...]:
+    """All partitions of n, as (part, multiplicity) pair sets.
+
+    Each n is enumerated once; the tuple of frozen partitions is shared
+    by every later call.
+    """
     if not 1 <= n <= 8:
         raise ValueError("partitions are enumerated for 1 <= n <= 8")
     found: list[list[int]] = []
@@ -291,7 +300,7 @@ def partitions(n: int) -> list[Partition]:
             descend(remaining - part, part, acc + [part])
 
     descend(n, n, [])
-    return [Partition(tuple(sorted(Counter(parts).items()))) for parts in found]
+    return tuple(Partition(tuple(sorted(Counter(parts).items()))) for parts in found)
 
 
 def multiplicity(p: Partition) -> Fraction:
@@ -403,6 +412,9 @@ def cauchy_identity_residual(odd_points, even_points, variant: str = "below") ->
 # three-route correlations
 # ----------------------------------------------------------------------
 
+_EPS = math.ulp(1.0)
+
+
 class Route(Enum):
     DETERMINANT = "det"
     EXPONENTIAL = "exp"
@@ -431,13 +443,18 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
     same section.
     est_error is the magnitude of the last included term scaled by its
     prefactor: a last-term truncation heuristic, justified by the
-    observed geometric decay of the terms.  It covers neither float64
-    rounding nor grid aliasing.  Above T_c at diagonal alpha2 2.5,
-    M=256, N=23, ff states 9e-97 on a value of 8.6e-11, which rounding
-    alone leaves about 1e-26 off; at diagonal alpha2 0.5, N=30, M=64, exp
-    states 7.9e-48 on 0.93; at diagonal alpha2 0.95, M=64, N=8, where the
-    section is cut at L = M, exp states 7e-5 on 0.0499, 0.52 from the
-    true value.
+    observed geometric decay of the terms.  It is never below the
+    float64 rounding bound of the entry's own sum, 2 n_max eps times the
+    sum of its summands' magnitudes as they enter the value (prefactor
+    times each term for ff; for exp the value times each closed chain,
+    next to the value below T_c and the prefactor times exp(sum F) times
+    each open chain above), which is 0 at n_max = 0, where no order is
+    added.  It does not cover grid aliasing.  Above T_c at diagonal
+    alpha2 2.5, M=256, N=23, the last terms would state 6e-96 (ff) and
+    1e-80 (exp) on a value of 8.6e-11, and both state the floor, 1.1e-25;
+    at diagonal alpha2 0.5, N=30, M=64, exp states 1.2e-15 on 0.93; at
+    diagonal alpha2 0.95, M=64, N=8, where the section is cut at L = M,
+    exp states 7e-5 on 0.0499, 0.52 from the true value.
     """
     if N < 1:
         raise ValueError(f"separation N={N} must be at least 1")
@@ -454,29 +471,38 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
                                terms=[], M=grid.M, n_max=n_max)
 
     # the entry's kernel section: plain at N below, hat at N+1 above, where
-    # the open chains G_1, G_3, ... join it; none is built at n_max=0
+    # the open chains G_1, G_3, ... join it: its power sums are read first,
+    # so above T_c one pass fills both; none is built at n_max=0
     S = N if below else N + 1
-    chains = () if below else section_chains(params, grid, S, n_max)
     prefactor = s_infinity(params) if below else s_hat_infinity(params)
     if route is Route.EXPONENTIAL:
         series = _closed(section_sums(params, grid, S, n_max), S)
-        exp_part = math.exp(sum(t.value for t in series))
-        last = abs(series[-1].value) if series else 0.0
+        chains = () if below else section_chains(params, grid, S, n_max)
+        closed = [t.value for t in series]
+        exp_part = math.exp(sum(closed))
+        last = abs(closed[-1]) if closed else 0.0
         if below:
             terms, value = series, prefactor * exp_part
             est = abs(value) * last
+            scale = abs(value)
         else:
             terms = [ExpansionTerm(2 * n + 1, N, g, 0.0, Method.SECTION)
                      for n, g in enumerate(chains)] + series
             value = -prefactor * sum(chains) * exp_part
             est = prefactor * exp_part * abs(chains[-1]) + abs(value) * last
+            scale = prefactor * exp_part * sum(map(abs, chains))
+        scale += abs(value) * sum(map(abs, closed))
     else:
-        form = _form(params, grid, S, n_max)
+        values = _form(params, grid, S, n_max)
         if below:
-            terms = [ExpansionTerm(2 * n, N, f, 0.0, Method.SECTION) for n, f in enumerate(form)]
+            terms = [ExpansionTerm(2 * n, N, f, 0.0, Method.SECTION) for n, f in enumerate(values)]
         else:
-            terms = _odd_form_factors(chains, form, N)
-        value = (prefactor if below else -prefactor) * sum(t.value for t in terms)
-        est = prefactor * abs(terms[-1].value) if n_max or not below else 0.0
+            terms = _odd_form_factors(section_chains(params, grid, S, n_max), values, N)
+            values = [t.value for t in terms]
+        value = (prefactor if below else -prefactor) * sum(values)
+        est = prefactor * abs(values[-1]) if n_max or not below else 0.0
+        scale = prefactor * sum(map(abs, values))
+    # never below the rounding of the entry's own sum
+    est = max(est, 2 * n_max * _EPS * scale)
     return ComparisonEntry(N=N, route=route.value, value=float(value),
                            est_error=float(est), terms=terms, M=grid.M, n_max=n_max)

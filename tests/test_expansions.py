@@ -321,6 +321,17 @@ def test_multiplicity_of_three_cycle():
     assert ic.multiplicity(Partition(((3, 1),))) == 2
 
 
+def test_partitions_are_enumerated_once():
+    """partitions(n) hands back one shared immutable tuple of frozen
+    partitions, so f_from_F enumerates each n once."""
+    for n in range(1, 9):
+        parts = ic.partitions(n)
+        assert type(parts) is tuple and ic.partitions(n) is parts
+        assert all(type(p) is Partition for p in parts)
+    with pytest.raises(AttributeError):
+        ic.partitions(3)[0].pairs = ()
+
+
 def test_partitions_bounds():
     with pytest.raises(ValueError):
         ic.partitions(0)
@@ -541,3 +552,24 @@ def test_correlation_rejects_separation_below_one(monkeypatch, below, below_grid
     for params, grid in ((below, below_grid), (above, above_grid)):
         with pytest.raises(ValueError, match=f"separation N={N} must be at least 1"):
             ic.correlation(params, N, route, 3, grid)
+
+
+@pytest.mark.parametrize("alpha2, M, N", [(2.5, 256, 23), (0.5, 64, 30)])
+def test_est_error_is_never_below_the_rounding_of_its_sum(alpha2, M, N):
+    """Far out in N the last terms fall below the value's own rounding
+    (at diagonal 2.5, M=256, N=23: 6e-96 for ff and 1e-80 for exp on a
+    value of 8.6e-11); est_error then states the float64 rounding bound
+    of the entry's sum, a few eps times its summands, and no less."""
+    params = ic.diagonal_from_alpha2(alpha2)
+    grid = ic.make_grid(params, M)
+    eps = np.finfo(float).eps
+    below = params.regime is ic.Regime.BELOW
+    prefactor = ic.s_infinity(params) if below else ic.s_hat_infinity(params)
+    for route in ("exp", "ff"):
+        entry = ic.correlation(params, N, route, 3, grid)
+        last = abs(entry.terms[-1].value) * (abs(entry.value) if route == "exp" else prefactor)
+        assert last < eps * abs(entry.value) * 1e-3, (route, last)
+        assert eps * abs(entry.value) <= entry.est_error < 100 * eps * abs(entry.value), route
+        if route == "ff":
+            summands = sum(abs(prefactor * t.value) for t in entry.terms)
+            assert entry.est_error == pytest.approx(6 * eps * summands, rel=1e-12)

@@ -154,8 +154,9 @@ RECIPE_IDS = [f"{p.kind.value}-{p.alpha1:.3g}-{p.alpha2:.3g}" for p in RECIPE_PO
 
 @pytest.mark.parametrize("params", RECIPE_POINTS, ids=RECIPE_IDS)
 def test_power_sums_are_prefix_stable_bit_for_bit(params):
-    """power_sums(K, n)[:k] is power_sums(K, k), bit for bit, for k <= n <= min(L, 12):
-    the section record relies on it."""
+    """power_sums(K, n)[:k] is power_sums(K, k), bit for bit, for k <= n <= min(L, 12),
+    and a section's sums are the same in any stack it is read in: the
+    section record relies on both."""
     grid = ic.make_grid(params, 64)
     for N in (1, 7):
         K = ic.build_kernel(params, grid, N)
@@ -165,6 +166,17 @@ def test_power_sums_are_prefix_stable_bit_for_bit(params):
             assert sums[n].dtype == np.float64 and len(sums[n]) == n
             for k in range(n + 1):
                 assert sums[n][:k].tobytes() == sums[k].tobytes(), (N, n, k)
+    stack = ic.build_kernel(params, grid, slice(1, 9))
+    assert stack.shape == (8, *K.shape)
+    top = min(len(K), 12)
+    sums = ic.power_sums(stack, top)
+    assert sums.shape == (8, top)
+    for n in range(top + 1):
+        assert ic.power_sums(stack, n).tobytes() == sums[:, :n].tobytes(), n
+    for first, count in ((0, 1), (3, 2), (5, 3), (0, 8)):
+        part = ic.build_kernel(params, grid, slice(1 + first, 1 + first + count))
+        assert part.tobytes() == stack[first:first + count].tobytes(), (first, count)
+        assert ic.power_sums(part, top).tobytes() == sums[first:first + count].tobytes()
 
 
 @pytest.mark.parametrize("M", [64, 256])

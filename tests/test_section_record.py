@@ -1,11 +1,14 @@
 """The per-separation record of section floats on the grid's moment table.
 
 Every exp/ff entry and every per-order term read through the record must
-be the value a cold computation gives, whatever was asked before it.
+be the value a cold computation gives, whatever was asked before it, and
+every recorded float the value of its own section, whichever block
+computed it.
 """
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import isingcorr as ic
@@ -13,7 +16,8 @@ from isingcorr import cli
 from isingcorr import fredholm as fredholm_module
 from isingcorr import toeplitz as toeplitz_module
 from isingcorr import verify as verify_module
-from isingcorr.toeplitz import moment_table
+from isingcorr.fredholm import BLOCK, section_chains, section_sums
+from isingcorr.toeplitz import moment_table, section_size
 
 POINTS = [
     ic.diagonal_from_alpha2(0.5), ic.diagonal_from_alpha2(0.9), ic.diagonal_from_alpha2(2.5),
@@ -112,30 +116,144 @@ def test_record_gives_the_cold_values(cold, params, M, call_order):
     assert not wrong, (wrong[:5], [(got[k], want[k]) for k in wrong[:2]])
 
 
+#: the record's grids, the L = M sections at diagonal 0.9 (in CASES) and
+#: 1.2 with M = 64, and M = 8, where most blocks run into a table's end
+BLOCK_CASES = CASES + [(ic.diagonal_from_alpha2(1.2), 64), (ic.diagonal_from_alpha2(0.5), 8),
+                       (ic.diagonal_from_alpha2(2.5), 8)]
+BLOCK_IDS = IDS + ["diagonal-0-1.2-M64", "diagonal-0-0.5-M8", "diagonal-0-2.5-M8"]
+
+
+def _block_separations(params, M):
+    """1..40 and 64, N near M, and N around the end of the grid's first
+    moment table, past which its blocks stop and a longer table serves."""
+    end = 3 * M - 2 * section_size(params, M)
+    return sorted(set(SEPARATIONS) | set(range(end - 3, end + 4)) | {M - 1, M, M + 1})
+
+
+def _read(params, grid, calls, n):
+    """Read the sums and chains of (N, part) in calls to order n; return the
+    record of every separation any block filled, across the grid's tables."""
+    for N, part in calls:
+        (section_sums, section_chains)[part](params, grid, N, n)
+    tables = {id(moment_table(params, grid, N)): moment_table(params, grid, N)
+              for N, _ in calls}
+    return {S: entry for table in tables.values() for S, entry in table.sections.items()}
+
+
+def _single_section(params, grid, S, n):
+    """Power sums and open chains of the section at S on its own, with the
+    scales their rounding is measured against."""
+    table = moment_table(params, grid, S)
+    K = np.asarray(ic.build_kernel(params, grid, S))
+    P = table.odd_windows[S + 1:S + 1 + table.L]
+    x, y = table.even[S:S + table.L], table.odd[S:S + table.L]
+    above = params.regime is ic.Regime.ABOVE
+    s = np.linalg.norm(K, "nuc")
+    v, size = (P @ x, np.linalg.norm(P, "nuc") * np.linalg.norm(x)) if above else (y, np.linalg.norm(y))
+    chains, scales = [], []
+    for k in range(n):
+        chains.append(-table.c * (x @ v))
+        scales.append(table.c * np.linalg.norm(x) * size * s ** k)
+        v = K @ v
+    return ic.power_sums(K, n), s ** np.arange(1, n + 1), np.array(chains), np.array(scales)
+
+
+@pytest.mark.parametrize("params, M", BLOCK_CASES, ids=BLOCK_IDS)
+def test_block_record_is_the_record_of_single_sections(params, M):
+    """Blocks of BLOCK separations fill the record: each entry is within
+    rounding of its own section read alone, is the same bit for bit in
+    ascending, descending and overlapping call orders, whichever part is
+    read first, and the entries at order 3 are a prefix of those at 6."""
+    grid = ic.make_grid(params, M)
+    separations = _block_separations(params, M)
+    ascending = [(N, part) for N in separations for part in (0, 1)]
+    orders = {
+        "ascending": ascending,
+        "descending": ascending[::-1],
+        # every fifth separation first, so later blocks start inside earlier ones
+        "overlapping": [(N, 1 - part) for N, part in ascending[7::10] + ascending],
+    }
+    records = {}
+    for name, calls in orders.items():
+        toeplitz_module.clear_cache()
+        records[name] = _read(params, grid, calls, 3)
+    first = records["ascending"]
+    assert set(separations) <= first.keys()
+    for name, record in records.items():
+        common = record.keys() & first.keys()
+        assert set(separations) <= common, name
+        assert [repr(record[S]) for S in common] == [repr(first[S]) for S in common], name
+    tiny = np.finfo(float).tiny
+    for S, (sums, chains) in first.items():
+        assert len(sums) == len(chains) == 3, S
+        want, scale, open_want, open_scale = _single_section(params, grid, S, 3)
+        assert np.max(np.abs(np.array(sums) - want) / np.maximum(scale, tiny)) < 1e-12, S
+        assert np.max(np.abs(np.array(chains) - open_want) / np.maximum(open_scale, tiny)) < 1e-12, S
+    # prefix stability: the order-3 record read again to order 6, and cold at 6
+    toeplitz_module.clear_cache()
+    _read(params, grid, ascending, 3)
+    longer = _read(params, grid, ascending, 6)
+    toeplitz_module.clear_cache()
+    cold = _read(params, grid, ascending, 6)
+    assert longer.keys() == cold.keys() >= first.keys()
+    for S in cold:
+        assert repr(longer[S]) == repr(cold[S]), S
+        assert all(len(part) == 6 for part in cold[S]), S
+        if S in first:
+            assert repr(tuple(part[:3] for part in cold[S])) == repr(first[S]), S
+
+
+def test_a_miss_fills_its_block_within_the_table(below, below_grid, above, above_grid):
+    """A miss at N fills N..N + BLOCK - 1, and no further than the first
+    table reaches, without touching entries the record already holds."""
+    for params, grid in ((below, below_grid), (above, above_grid)):
+        toeplitz_module.clear_cache()
+        table = moment_table(params, grid, 1)
+        section_sums(params, grid, 3, 2)
+        assert sorted(table.sections) == list(range(3, 3 + BLOCK))
+        kept = {S: table.sections[S] for S in (4, 5)}
+        section_sums(params, grid, 1, 1)
+        assert sorted(table.sections) == list(range(1, 3 + BLOCK))
+        assert all(table.sections[S] is kept[S] for S in kept)
+        above_tc = params.regime is ic.Regime.ABOVE
+        assert all(len(table.sections[S][1]) == (2 if above_tc else 0) for S in range(3, 3 + BLOCK))
+        end = len(table.odd) - 2 * table.L
+        section_chains(params, grid, end - 2, 3)
+        assert max(table.sections) == end
+        assert moment_table(params, grid, end + 1) is not table
+
+
 def _count_sections(monkeypatch):
-    """Count build_kernel calls per params, from fredholm's section seam and from verify."""
-    built = Counter()
+    """Count build_kernel calls per params, from fredholm's section seam and
+    from verify, and the sections they build (a block builds one per
+    separation in it)."""
+    built, sections = Counter(), Counter()
     build = fredholm_module.build_kernel
 
     def counted(params, grid, N, *args, **kwargs):
         built[params] += 1
+        sections[params] += 1 if isinstance(N, int) else N.stop - N.start
         return build(params, grid, N, *args, **kwargs)
 
     monkeypatch.setattr(fredholm_module, "build_kernel", counted)
     monkeypatch.setattr(verify_module, "build_kernel", counted)
-    return built
+    return built, sections
 
 
 @pytest.mark.parametrize("point", [["--diagonal", "--alpha2", "0.5"],
                                    ["--diagonal", "--alpha2", "2.5"],
                                    ["--direct", "0.2", "3.0"]])
 def test_table_builds_one_section_per_separation(monkeypatch, capsys, point):
-    """det, exp and ff over N = 1..16 build 16 sections; at --orders 0, none."""
-    built = _count_sections(monkeypatch)
+    """det, exp and ff over N = 1..16 build 16 sections, in two blocks of
+    BLOCK = 8 each (N = 1..8 and 9..16 below T_c, and the hat sections at
+    N + 1 = 2..9 and 10..17 above); at --orders 0, none."""
+    assert BLOCK == 8
+    built, sections = _count_sections(monkeypatch)
     toeplitz_module.clear_cache()
     argv = ["table", *point, "--N", "1..16", "--routes", "det,exp,ff"]
     assert cli.main(argv) == 0
-    assert list(built.values()) == [16]
+    assert list(built.values()) == [2]
+    assert list(sections.values()) == [16]
     built.clear()
     toeplitz_module.clear_cache()
     assert cli.main(argv + ["--orders", "0"]) == 0
@@ -147,20 +265,7 @@ def test_orders_read_one_section(monkeypatch, below, below_grid, above, above_gr
     """Lower orders, other routes and the per-order readers reuse the section
     built for the highest order; a higher order builds it once more.  The
     entry at N reads the section at N below T_c and at N + 1 above."""
-    built = _count_sections(monkeypatch)
-    toeplitz_module.clear_cache()
-    for params, grid, section in ((below, below_grid, 5), (above, above_grid, 6)):
-        for n_max in (2, 1, 0):
-            for route in ("exp", "ff"):
-                ic.correlation(params, 5, route, n_max, grid)
-        ic.f_2n(params, grid, section, 2)
-        ic.F_2n(params, grid, section, 1)
-        assert built[params] == 1
-        ic.correlation(params, 5, "ff", 3, grid)
-        ic.correlation(params, 5, "exp", 3, grid)
-        assert built[params] == 2
-
-
+    built, _ = _count_sections(monkeypatch)
 def test_record_holds_floats_only_and_clear_cache_empties_it(below, below_grid,
                                                              above, above_grid):
     toeplitz_module.clear_cache()
@@ -192,32 +297,34 @@ def test_returned_terms_do_not_alias_the_record(below, below_grid, above, above_
             assert repr(ic.correlation(params, 3, route, 3, grid)) == want
 
 
-#: sections each suite builds at M = 128 on cold caches: lemma1 reads only
-#: open chains, which build none, lemma2 the power sums at N = 1..5, resum
-#: one section per N = 1..3, and fredholm builds its six sections itself
-#: for their log det
-SUITE_SECTIONS = {"lemma1": 0, "lemma2": 5, "resum": 3, "fredholm": 6}
+#: (build_kernel calls, sections built) per suite at M = 128 on cold
+#: caches: lemma1 reads only open chains, which build none; lemma2 reads
+#: the power sums at N = 1..5 and resum at N = 1..3, each in the one block
+#: N = 1..8; fredholm builds its six sections one by one for their log det
+SUITE_SECTIONS = {"lemma1": (0, 0), "lemma2": (1, 8), "resum": (1, 8), "fredholm": (6, 6)}
 
 
 @pytest.mark.parametrize("suite", SUITE_SECTIONS)
 def test_verify_suite_builds_each_section_once(monkeypatch, suite):
     """Each suite reads a section at its highest order first, so the lower
     orders come from the record and no section is built twice for one part."""
-    built = _count_sections(monkeypatch)
+    built, sections = _count_sections(monkeypatch)
     toeplitz_module.clear_cache()
     records = verify_module.run_suite(suite, M=128)
     assert all(record["pass"] for record in records)
-    assert sum(built.values()) == SUITE_SECTIONS[suite]
+    assert (sum(built.values()), sum(sections.values())) == SUITE_SECTIONS[suite]
 
 
 def test_verify_all_builds_each_section_once(monkeypatch):
-    """In one run of every suite, resum reads the sections lemma2 kept at
-    alpha2 = 0.5, M = 128, N = 1..3 to order 3, so it builds none: 11 in all."""
-    built = _count_sections(monkeypatch)
+    """In one run of every suite, resum reads the block lemma2 kept at
+    alpha2 = 0.5, M = 128, N = 1..8 to order 3, so it builds none: 7 builds
+    of 14 sections in all, lemma2's block and fredholm's six."""
+    built, sections = _count_sections(monkeypatch)
     toeplitz_module.clear_cache()
     records = verify_module.run_suite("all", trials=5, M=128)
     assert len(records) == 57
-    assert sum(built.values()) == sum(SUITE_SECTIONS.values()) - SUITE_SECTIONS["resum"] == 11
+    assert sum(built.values()) == 7
+    assert sum(sections.values()) == 14
 
 
 @pytest.mark.parametrize("suite", ["lemma1", "lemma2", "resum"])
