@@ -20,9 +20,9 @@ p_1..p_n, which are the closed chains and, by Newton's identities
 chains, bilinear forms in the same moments with the section taken at
 separation N+1.  Both return Python floats, which fredholm keeps per
 (grid, N) on the grid's moment table, so the exp and ff routes, every
-order n_max and every per-order term share one section; a miss fills a
-block of consecutive separations at once, which the entries and terms at
-the next separations then read.  Above T_c the entries read the power
+order n_max and every per-order term share one section; a miss inside a
+run (N - 1 already recorded) fills a block of consecutive separations at
+once, which the entries and terms at the next separations then read.  Above T_c the entries read the power
 sums before the open chains, so one pass fills both.  Each float
 becomes an ExpansionTerm(order, N, value, 0.0, SECTION) here.  The M-node
 grid products (quadrature.chain_integral, _f_2n_direct, _f_2n1_direct)

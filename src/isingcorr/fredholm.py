@@ -35,13 +35,15 @@ as Python floats from section_sums and section_chains, which alone keep
 them per (grid, N) in the moment table's record (MomentTable.sections),
 so every route, order and term of one (grid, N) shares one section.
 Tables and the verify suites read runs of consecutive separations on one
-grid, so a miss at N fills the block N..N + BLOCK - 1 in one batched
-pass: the factors of the block's sections are two zero-copy stacks of
-the table's Hankel views, and their sums (with, above T_c, their open
-chains, which every entry there reads next to them) come from stacked
-products, one contraction per sum.  A section's floats are computed by the same
-formula whatever block it falls in, so the record is the same bit for
-bit in any call order.
+grid, so a miss at N whose record already holds N - 1 (a run is being
+read) fills the block N..N + BLOCK - 1 in one batched pass, while any
+other miss, such as a lone read, fills N alone: the factors of the
+block's sections are two zero-copy stacks of the table's Hankel views,
+and their sums (with, above T_c, their open chains, which every entry
+there reads next to them) come from stacked products, one contraction
+per sum.  A section's floats are computed by the same formula whatever
+block it falls in, so the record is the same bit for bit in any call
+order.
 """
 
 from __future__ import annotations
@@ -125,22 +127,27 @@ def build_kernel(params: ModelParams, grid: ContourGrid, N: int | slice,
     return P @ Q
 
 
-#: separations one pass of the section seam fills: a miss at N computes
-#: N..N + BLOCK - 1 at once, as far as the moment table of N reaches.  At
-#: M = 64 on one thread, the power sums to order 3 of eight sections took
-#: 61/86/73 us at L = 18/29/38, against 31/35/24 us for one; sixteen took
-#: 92 us at L <= 29 but 205 us at L = 38, where the stack leaves the cache
+#: separations one pass of the section seam fills inside a run: a miss at
+#: N with N - 1 recorded computes N..N + BLOCK - 1 at once, as far as the
+#: moment table of N reaches.  At M = 64 on one thread, the power sums to
+#: order 3 of eight sections took 61/86/73 us at L = 18/29/38, against
+#: 31/35/24 us for one; sixteen took 92 us at L <= 29 but 205 us at
+#: L = 38, where the stack leaves the cache
 BLOCK = 8
 
 _NOTHING = ((), ())
 
 
 def _run(table: MomentTable, N: int, n: int, part: int) -> slice:
-    """The separations from N on, within the block at N, whose record
-    holds fewer than n of the part (0: power sums, 1: open chains), up to
-    the first that holds them.  Every pass fills such a run whole, so no
-    entry past that first one lacks the part either."""
-    record, stop, end = table.sections, min(N + BLOCK, len(table.odd_sections)), N
+    """The separations from N on, within the pass at N, whose record holds
+    fewer than n of the part (0: power sums, 1: open chains), up to the
+    first that holds them.  The pass is the block at N when the record
+    holds N - 1, so a run of separations is being read, and N alone
+    otherwise, so a lone read pays for one section.  Every pass fills
+    such a run whole, so no entry past that first one lacks the part
+    either."""
+    record, end = table.sections, N
+    stop = min(N + BLOCK, len(table.odd_sections)) if N - 1 in record else N + 1
     while end < stop and len(record.get(end, _NOTHING)[part]) < n:
         end += 1
     return slice(N, end)
@@ -194,9 +201,9 @@ def section_sums(params: ModelParams, grid: ContourGrid, N: int, n: int) -> tupl
 
     They are kept in the table's record under N, and since they are
     prefix-stable, sections are built only when more are asked for than
-    the record holds (none at n = 0), a block of them at a time; above
-    T_c, where every entry reads both, the same pass also fills the
-    block's open chains.
+    the record holds (none at n = 0), a block of them at a time once
+    N - 1 is recorded; above T_c, where every entry reads both, the same
+    pass also fills the open chains.
     """
     table = moment_table(params, grid, N)
     sums = table.sections.get(N, _NOTHING)[0]
@@ -215,7 +222,7 @@ def section_chains(params: ModelParams, grid: ContourGrid, N: int, n: int) -> tu
     followed by G_(2k+1) = -c x^T K^(k-1) P x (k = 1..n).  K is applied as
     P (Q v), so no section is built.  The chains past G_1 are kept in the
     table's record under N, next to the power sums, and a miss fills
-    those of the whole block at N.
+    those of the whole block at N once N - 1 is recorded.
     """
     table = moment_table(params, grid, N)
     chains = table.sections.get(N, _NOTHING)[1]

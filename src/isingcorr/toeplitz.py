@@ -8,9 +8,9 @@ contour moments, kept as one real table per grid (moment_table); every
 chain kernel section fredholm builds is a pair of basic slices of its
 strided Hankel windows, with no gather (a block of consecutive sections
 is a basic slice of the same windows seen as a stack), and the table
-carries the record
-of the floats each section yields (MomentTable.sections), which
-fredholm's section_sums and section_chains alone read and write.  The
+carries the record of the floats each section yields
+(MomentTable.sections), which fredholm's section_sums and
+section_chains alone read and write.  The
 moments are real for real alpha on the conjugate-symmetric grid, so the
 table holds the real parts of the FFT moments; their imaginary residue
 is rounding, at most about eps max|w(z_k)|, and stays with
@@ -110,20 +110,19 @@ class MomentTable:
     real on the real axis, so on the conjugate-symmetric grid the moments
     are real and the FFT's imaginary part is rounding, which is dropped
     here and kept by contour_moments.  c = 1/(1 - r^(2M)) and L is the
-    section size.  odd_windows[i] = c odd[i:i + L] and
-    even_windows[i] = c even[i:i + L] are strided views of one scaled
-    copy of each sequence, and odd_sections, even_sections are the same
-    memory seen as stacks of Hankel sections: odd_sections[N] is
-    odd_windows[N + 1:N + 1 + L], the factor P of the section at
-    separation N (P[s, t] = c odd[N + 1 + s + t]), and even_sections[N]
-    likewise Q, for every N the table serves (N + 2L <= len(odd)); a
-    slice of separations gives the (count, L, L) stack of them, also
-    with no copy.  Every array is read-only.
+    section size.  odd_sections and even_sections are strided views of
+    one scaled copy of each sequence, seen as stacks of Hankel sections:
+    odd_sections[N] is the factor P of the section at separation N,
+    P[s, t] = c odd[N + 1 + s + t], and even_sections[N] likewise Q, for
+    every N the table serves (N + 2L <= len(odd)); a slice of separations
+    gives the (count, L, L) stack of them, also with no copy.  Every
+    array is read-only.
 
     sections maps a separation N to what its section has yielded, the
     tuples (power sums, open chains) of floats, owned by
     fredholm.section_sums and fredholm.section_chains, which fill a
-    block of consecutive separations per miss: the one mutable part,
+    block of consecutive separations per miss inside a run of them: the
+    one mutable part,
     which lives and dies with the cached table, so clear_cache empties
     it too.
     """
@@ -132,8 +131,6 @@ class MomentTable:
     even: np.ndarray
     c: float
     L: int
-    odd_windows: np.ndarray
-    even_windows: np.ndarray
     odd_sections: np.ndarray
     even_sections: np.ndarray
     sections: dict = field(default_factory=dict, repr=False, compare=False)
@@ -147,11 +144,12 @@ def _moment_table(params: ModelParams, M: int, r: float, length: int) -> MomentT
     for array in (odd, even):
         array.flags.writeable = False
     c, L = 1.0 / (1.0 - r ** (2 * M)), section_size(params, M)
-    # sliding_window_view returns read-only views unless asked otherwise;
-    # a Hankel window of rows is its own transpose, so the stack needs no swap
-    windows = [np.lib.stride_tricks.sliding_window_view(c * array, L) for array in (odd, even)]
+    # sliding_window_view returns read-only views unless asked otherwise:
+    # windows[i] = c array[i:i + L], and a Hankel window of rows is its own
+    # transpose, so the stack of sections needs no swap
+    windows = (np.lib.stride_tricks.sliding_window_view(c * array, L) for array in (odd, even))
     stacks = (np.lib.stride_tricks.sliding_window_view(w[1:], L, axis=0) for w in windows)
-    return MomentTable(odd, even, c, L, *windows, *stacks)
+    return MomentTable(odd, even, c, L, *stacks)
 
 
 def moment_table(params: ModelParams, grid: ContourGrid, N: int) -> MomentTable:

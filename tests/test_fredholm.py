@@ -347,7 +347,7 @@ def test_section_factors_are_read_only_views_of_the_table(alpha2):
         assert P.shape == Q.shape == (table.L, table.L)
         if alpha2 == 0.9:
             assert table.L == grid.M
-        for view, base in ((P, table.odd_windows), (Q, table.even_windows),
+        for view, base in ((P, table.odd_sections), (Q, table.even_sections),
                            (x_odd, table.odd), (x_even, table.even)):
             assert not view.flags.writeable
             assert np.shares_memory(view, base), N

@@ -145,7 +145,7 @@ def _single_section(params, grid, S, n):
     scales their rounding is measured against."""
     table = moment_table(params, grid, S)
     K = np.asarray(ic.build_kernel(params, grid, S))
-    P = table.odd_windows[S + 1:S + 1 + table.L]
+    P = table.odd_sections[S]
     x, y = table.even[S:S + table.L], table.odd[S:S + table.L]
     above = params.regime is ic.Regime.ABOVE
     s = np.linalg.norm(K, "nuc")
@@ -178,17 +178,21 @@ def test_block_record_is_the_record_of_single_sections(params, M):
         toeplitz_module.clear_cache()
         records[name] = _read(params, grid, calls, 3)
     first = records["ascending"]
-    assert set(separations) <= first.keys()
     for name, record in records.items():
-        common = record.keys() & first.keys()
-        assert set(separations) <= common, name
-        assert [repr(record[S]) for S in common] == [repr(first[S]) for S in common], name
+        assert all(len(part) == 3 for S in separations for part in record[S]), name
+        # a pass may fill one part past the other; the parts both records hold agree
+        differ = [S for S in record.keys() & first.keys()
+                  for part, other in zip(record[S], first[S])
+                  if part and other and repr(part) != repr(other)]
+        assert not differ, (name, differ[:5])
     tiny = np.finfo(float).tiny
     for S, (sums, chains) in first.items():
-        assert len(sums) == len(chains) == 3, S
+        assert len(sums) in (0, 3) and len(chains) in (0, 3), S
         want, scale, open_want, open_scale = _single_section(params, grid, S, 3)
-        assert np.max(np.abs(np.array(sums) - want) / np.maximum(scale, tiny)) < 1e-12, S
-        assert np.max(np.abs(np.array(chains) - open_want) / np.maximum(open_scale, tiny)) < 1e-12, S
+        if sums:
+            assert np.max(np.abs(np.array(sums) - want) / np.maximum(scale, tiny)) < 1e-12, S
+        if chains:
+            assert np.max(np.abs(np.array(chains) - open_want) / np.maximum(open_scale, tiny)) < 1e-12, S
     # prefix stability: the order-3 record read again to order 6, and cold at 6
     toeplitz_module.clear_cache()
     _read(params, grid, ascending, 3)
@@ -198,26 +202,32 @@ def test_block_record_is_the_record_of_single_sections(params, M):
     assert longer.keys() == cold.keys() >= first.keys()
     for S in cold:
         assert repr(longer[S]) == repr(cold[S]), S
-        assert all(len(part) == 6 for part in cold[S]), S
+        assert all(len(part) in (0, 6) for part in cold[S]), S
         if S in first:
             assert repr(tuple(part[:3] for part in cold[S])) == repr(first[S]), S
 
 
 def test_a_miss_fills_its_block_within_the_table(below, below_grid, above, above_grid):
-    """A miss at N fills N..N + BLOCK - 1, and no further than the first
-    table reaches, without touching entries the record already holds."""
+    """A miss at N fills N alone unless N - 1 is recorded, and then
+    N..N + BLOCK - 1, no further than the first table reaches, without
+    touching entries the record already holds."""
     for params, grid in ((below, below_grid), (above, above_grid)):
         toeplitz_module.clear_cache()
         table = moment_table(params, grid, 1)
+        section_sums(params, grid, 2, 2)
+        assert sorted(table.sections) == [2]
         section_sums(params, grid, 3, 2)
-        assert sorted(table.sections) == list(range(3, 3 + BLOCK))
-        kept = {S: table.sections[S] for S in (4, 5)}
+        assert sorted(table.sections) == list(range(2, 3 + BLOCK))
+        kept = {S: table.sections[S] for S in (2, 4, 5)}
         section_sums(params, grid, 1, 1)
+        section_sums(params, grid, 4, 1)
         assert sorted(table.sections) == list(range(1, 3 + BLOCK))
         assert all(table.sections[S] is kept[S] for S in kept)
         above_tc = params.regime is ic.Regime.ABOVE
-        assert all(len(table.sections[S][1]) == (2 if above_tc else 0) for S in range(3, 3 + BLOCK))
+        assert all(len(table.sections[S][1]) == (2 if above_tc else 0) for S in range(2, 3 + BLOCK))
         end = len(table.odd) - 2 * table.L
+        section_chains(params, grid, end - 3, 3)
+        assert max(table.sections) == end - 3
         section_chains(params, grid, end - 2, 3)
         assert max(table.sections) == end
         assert moment_table(params, grid, end + 1) is not table
@@ -244,16 +254,17 @@ def _count_sections(monkeypatch):
                                    ["--diagonal", "--alpha2", "2.5"],
                                    ["--direct", "0.2", "3.0"]])
 def test_table_builds_one_section_per_separation(monkeypatch, capsys, point):
-    """det, exp and ff over N = 1..16 build 16 sections, in two blocks of
-    BLOCK = 8 each (N = 1..8 and 9..16 below T_c, and the hat sections at
-    N + 1 = 2..9 and 10..17 above); at --orders 0, none."""
+    """det, exp and ff over N = 1..16 build 17 sections in 3 passes: the
+    first separation alone, since no run has started, then two blocks of
+    BLOCK = 8 (N = 1, 2..9 and 10..17 below T_c, and the hat sections at
+    N + 1 = 2, 3..10 and 11..18 above); at --orders 0, none."""
     assert BLOCK == 8
     built, sections = _count_sections(monkeypatch)
     toeplitz_module.clear_cache()
     argv = ["table", *point, "--N", "1..16", "--routes", "det,exp,ff"]
     assert cli.main(argv) == 0
-    assert list(built.values()) == [2]
-    assert list(sections.values()) == [16]
+    assert list(built.values()) == [3]
+    assert list(sections.values()) == [17]
     built.clear()
     toeplitz_module.clear_cache()
     assert cli.main(argv + ["--orders", "0"]) == 0
@@ -266,6 +277,19 @@ def test_orders_read_one_section(monkeypatch, below, below_grid, above, above_gr
     built for the highest order; a higher order builds it once more.  The
     entry at N reads the section at N below T_c and at N + 1 above."""
     built, _ = _count_sections(monkeypatch)
+    toeplitz_module.clear_cache()
+    for params, grid, section in ((below, below_grid, 5), (above, above_grid, 6)):
+        for n_max in (2, 1, 0):
+            for route in ("exp", "ff"):
+                ic.correlation(params, 5, route, n_max, grid)
+        ic.f_2n(params, grid, section, 2)
+        ic.F_2n(params, grid, section, 1)
+        assert built[params] == 1
+        ic.correlation(params, 5, "ff", 3, grid)
+        ic.correlation(params, 5, "exp", 3, grid)
+        assert built[params] == 2
+
+
 def test_record_holds_floats_only_and_clear_cache_empties_it(below, below_grid,
                                                              above, above_grid):
     toeplitz_module.clear_cache()
@@ -299,9 +323,10 @@ def test_returned_terms_do_not_alias_the_record(below, below_grid, above, above_
 
 #: (build_kernel calls, sections built) per suite at M = 128 on cold
 #: caches: lemma1 reads only open chains, which build none; lemma2 reads
-#: the power sums at N = 1..5 and resum at N = 1..3, each in the one block
-#: N = 1..8; fredholm builds its six sections one by one for their log det
-SUITE_SECTIONS = {"lemma1": (0, 0), "lemma2": (1, 8), "resum": (1, 8), "fredholm": (6, 6)}
+#: the power sums at N = 1..5 and resum at N = 1..3, each from the section
+#: at N = 1 alone and the block N = 2..9 its run starts; fredholm builds
+#: its six sections one by one for their log det
+SUITE_SECTIONS = {"lemma1": (0, 0), "lemma2": (2, 9), "resum": (2, 9), "fredholm": (6, 6)}
 
 
 @pytest.mark.parametrize("suite", SUITE_SECTIONS)
@@ -316,15 +341,15 @@ def test_verify_suite_builds_each_section_once(monkeypatch, suite):
 
 
 def test_verify_all_builds_each_section_once(monkeypatch):
-    """In one run of every suite, resum reads the block lemma2 kept at
-    alpha2 = 0.5, M = 128, N = 1..8 to order 3, so it builds none: 7 builds
-    of 14 sections in all, lemma2's block and fredholm's six."""
+    """In one run of every suite, resum reads what lemma2 kept at
+    alpha2 = 0.5, M = 128, N = 1..9 to order 3, so it builds none: 8 builds
+    of 15 sections in all, lemma2's two passes and fredholm's six."""
     built, sections = _count_sections(monkeypatch)
     toeplitz_module.clear_cache()
     records = verify_module.run_suite("all", trials=5, M=128)
     assert len(records) == 57
-    assert sum(built.values()) == 7
-    assert sum(sections.values()) == 14
+    assert sum(built.values()) == 8
+    assert sum(sections.values()) == 15
 
 
 @pytest.mark.parametrize("suite", ["lemma1", "lemma2", "resum"])
