@@ -144,11 +144,12 @@ def _moment_table(params: ModelParams, M: int, r: float, length: int) -> MomentT
     for array in (odd, even):
         array.flags.writeable = False
     c, L = 1.0 / (1.0 - r ** (2 * M)), section_size(params, M)
-    # sliding_window_view returns read-only views unless asked otherwise:
-    # windows[i] = c array[i:i + L], and a Hankel window of rows is its own
-    # transpose, so the stack of sections needs no swap
-    windows = (np.lib.stride_tricks.sliding_window_view(c * array, L) for array in (odd, even))
-    stacks = (np.lib.stride_tricks.sliding_window_view(w[1:], L, axis=0) for w in windows)
+    # stack[N, s, t] = c array[N + 1 + s + t], one read-only view per
+    # sequence; its last element is c array[-1], so every stride stays inside
+    count = length - 2 * L + 1
+    stacks = (np.lib.stride_tricks.as_strided(scaled[1:], shape=(count, L, L),
+                                              strides=(scaled.strides[0],) * 3, writeable=False)
+              for scaled in (c * odd, c * even))
     return MomentTable(odd, even, c, L, *stacks)
 
 
