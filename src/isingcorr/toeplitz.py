@@ -122,9 +122,8 @@ class MomentTable:
     tuples (power sums, open chains) of floats, owned by
     fredholm.section_sums and fredholm.section_chains, which fill a
     block of consecutive separations per miss inside a run of them: the
-    one mutable part,
-    which lives and dies with the cached table, so clear_cache empties
-    it too.
+    one mutable part, which lives and dies with the cached table, so
+    clear_cache empties it too.
     """
 
     odd: np.ndarray
