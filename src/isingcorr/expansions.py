@@ -13,17 +13,18 @@ The bookkeeping is centralized (see docs/measure_conversion.md):
 * order-(2n+1) form factor               = (-1)^(n+1)/(n!(n+1)!) * grid-product sum
 
 Every term is read from the Hankel section P, Q of the chain kernel
-through fredholm's two seams, whose weights params.regime picks: plain
-below the critical point, hat above.  section_sums gives the power sums
-p_1..p_n, which are the closed chains and, by Newton's identities
-(fredholm.form_factors), the form factors; section_chains gives the open
-chains, bilinear forms in the same moments with the section taken at
-separation N+1.  Both return Python floats, which fredholm keeps per
-(grid, N) on the grid's moment table, so the exp and ff routes, every
-order n_max and every per-order term share one section; a miss inside a
-run (N - 1 already recorded) fills a block of consecutive separations at
-once, which the entries and terms at the next separations then read.  Above T_c the entries read the power
-sums before the open chains, so one pass fills both.  Each float
+through fredholm's seam, whose weights params.regime picks: plain below
+the critical point, hat above.  section_sums gives the power sums
+p_1..p_n, which are the closed chains; section_form_factors gives the
+form factors, by Newton's identities on the same sums; section_chains
+gives the open chains, bilinear forms in the same moments with the
+section taken at separation N+1.  All return Python floats, which
+fredholm keeps per (grid, N) on the grid's moment table, so the exp and
+ff routes, every order n_max and every per-order term share one section;
+a miss inside a run (N - 1 already recorded) fills a block of
+consecutive separations at once, which the entries and terms at the next
+separations then read.  Above T_c a miss of the power sums also fills
+the open chains, which every entry there reads next to them.  Each float
 becomes an ExpansionTerm(order, N, value, 0.0, SECTION) here.  The M-node
 grid products (quadrature.chain_integral, _f_2n_direct, _f_2n1_direct)
 remain as independent cross-checks; they are complex by rounding, and
@@ -48,11 +49,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneratePoints, MethodUnavailable, RegimeMismatch
-from .fredholm import form_factors, section_chains, section_sums
+from .fredholm import section_chains, section_form_factors, section_sums
 from .kernels import KernelSet, s_hat_infinity, s_infinity
 from .params import ModelParams, Regime
 from .quadrature import ContourGrid, make_grid
-from .toeplitz import det_DN, section_size
+from .toeplitz import det_DN
 
 
 class Method(Enum):
@@ -98,11 +99,6 @@ def _closed(sums: tuple[float, ...], N: int) -> list[ExpansionTerm]:
     return [ExpansionTerm(2 * n, N, -p / n, 0.0, Method.SECTION) for n, p in enumerate(sums, 1)]
 
 
-def _form(params: ModelParams, grid: ContourGrid, N: int, n: int) -> list[float]:
-    """The form factors (-1)^k e_k, k = 0..n, of the section at N (at most its size)."""
-    return form_factors(section_sums(params, grid, N, n), section_size(params, grid.M))
-
-
 # ----------------------------------------------------------------------
 # chain terms
 # ----------------------------------------------------------------------
@@ -137,6 +133,8 @@ def phi_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionT
     with 1/z ends, a bilinear form in the section at N+1."""
     if n < 1:
         raise ValueError("open ratio chains start at n=1")
+    if N < 0:
+        raise ValueError(f"separation N={N} must be non-negative")
     _require_regime(params, Regime.BELOW, "phi_2n")
     return ExpansionTerm(2 * n, N, section_chains(params, grid, N + 1, n)[n - 1], 0.0,
                          Method.SECTION)
@@ -206,7 +204,8 @@ def f_2n(params: ModelParams, grid: ContourGrid, N: int, n: int,
         if n > 2:
             raise MethodUnavailable("direct grid products are limited to n <= 2")
         return _term(2 * n, N, _f_2n_direct(params, grid, N, n))
-    return ExpansionTerm(2 * n, N, _form(params, grid, N, n)[n], 0.0, Method.SECTION)
+    return ExpansionTerm(2 * n, N, section_form_factors(params, grid, N, n)[n], 0.0,
+                         Method.SECTION)
 
 
 def _f_2n1_direct(params: ModelParams, grid: ContourGrid, N: int, n: int) -> complex:
@@ -253,12 +252,14 @@ def f_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int,
         raise ValueError("f_2n1 takes method 'combination' or 'direct'")
     if n < 0:
         raise ValueError("n must be non-negative")
+    if N < 0:
+        raise ValueError(f"separation N={N} must be non-negative")
     _require_regime(params, Regime.ABOVE, "f_2n1")
     if method is Method.DIRECT:
         if n > 1:
             raise MethodUnavailable("direct grid products are limited to n <= 1")
         return _term(2 * n + 1, N, _f_2n1_direct(params, grid, N, n))
-    form = _form(params, grid, N + 1, n)
+    form = section_form_factors(params, grid, N + 1, n)
     return _odd_form_factors(section_chains(params, grid, N + 1, n), form, N)[n]
 
 
@@ -493,7 +494,7 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
             scale = prefactor * exp_part * sum(map(abs, chains))
         scale += abs(value) * sum(map(abs, closed))
     else:
-        values = _form(params, grid, S, n_max)
+        values = section_form_factors(params, grid, S, n_max)
         if below:
             terms = [ExpansionTerm(2 * n, N, f, 0.0, Method.SECTION) for n, f in enumerate(values)]
         else:

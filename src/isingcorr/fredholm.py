@@ -24,31 +24,34 @@ The section's power sums p_n = tr(K^n) carry the whole family: the
 order-2n closed-chain coefficient is -p_n/n, and Newton's identities
 turn p_1..p_n into the signed elementary symmetric functions of the
 spectrum, which are the form factor terms (form_factors, which ff_coeffs
-and the expansion readers share).  The sums, -n times the Taylor
+and section_form_factors share).  The sums, -n times the Taylor
 coefficients of log det(I - zK), are read as traces of two powers of K
 (power_sums), each by a formula of its order alone, so a shorter list is
 a bit-exact prefix of a longer one.  The open chains of the ratio series
 are bilinear forms in the same moments, with K applied as P (Q v).  Both
 expansions are Taylor series of det(I - K), which one LU of the section
-sums to all orders.  The expansion readers take the sums and the chains
-as Python floats from section_sums and section_chains, which alone keep
-them per (grid, N) in the moment table's record (MomentTable.sections),
-so every route, order and term of one (grid, N) shares one section.
-Tables and the verify suites read runs of consecutive separations on one
-grid, so a miss at N whose record already holds N - 1 (a run is being
-read) fills the block N..N + BLOCK - 1 in one batched pass, while any
-other miss, such as a lone read, fills N alone: the factors of the
-block's sections are two zero-copy stacks of the table's Hankel views,
-and their sums (with, above T_c, their open chains, which every entry
-there reads next to them) come from stacked products, one contraction
-per sum.  A section's floats are computed by the same formula whatever
-block it falls in, so the record is the same bit for bit in any call
-order.
+sums to all orders.  The expansion readers take the sums, the chains
+and the form factors as Python floats from section_sums, section_chains
+and section_form_factors, the seam behind which the section lives: the
+first two alone keep the floats per (grid, N) in the moment table's two
+records, MomentTable.sums and MomentTable.chains, so every route, order
+and term of one (grid, N) shares one section, and the third reads the
+section size from the same table.  Tables and the verify suites read
+runs of consecutive separations on one grid, so a miss at N whose record
+already holds N - 1 (a run is being read) extends that record over the
+block N..N + BLOCK - 1 in one batched pass, while any other miss, such
+as a lone read, fills N alone (_extend): the factors of the block's
+sections are two zero-copy stacks of the table's Hankel views, and their
+sums or open chains come from stacked products, one contraction per
+sum; above T_c, where every entry reads both, a miss of the sums also
+extends the chains.  A section's floats are computed by the same formula
+whatever block it falls in, so the records are the same bit for bit in
+any call order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -93,38 +96,25 @@ def power_sums(K: np.ndarray, n_max: int) -> np.ndarray:
     return p if K.ndim == 3 else p[0]
 
 
-def _chain_section(table: MomentTable, N: int | slice) -> tuple[np.ndarray, np.ndarray]:
-    """Hankel factors P, Q of the chain kernel at separation N.
+def build_kernel(params: ModelParams, grid: ContourGrid, N: int | slice) -> np.ndarray:
+    """The L x L section P Q of the closed-chain kernel at separation N.
 
-    Both are basic slices of the stacked Hankel views of the grid's
+    P and Q are basic slices of the stacked Hankel views of the grid's
     moment table (toeplitz.moment_table, holding the weights odd, even =
     qq, pp below T_c and qq_hat, pp_hat above): read-only views of its
     one scaled copy of each moment sequence, with no gather and no
-    per-call scaling.  P[s, t] = c m_odd(N + s + t) and
-    Q[s, t] = c m_even(N + s + t); for a slice of separations, the
-    (count, L, L) stacks of them.
-    """
-    return table.odd_sections[N], table.even_sections[N]
-
-
-def build_kernel(params: ModelParams, grid: ContourGrid, N: int | slice,
-                 table: MomentTable | None = None) -> np.ndarray:
-    """The L x L section P Q of the closed-chain kernel at separation N.
-
-    Its power sums equal those of the M x M grid kernel A B with
+    per-call scaling, P[s, t] = c m_odd(N + s + t) and
+    Q[s, t] = c m_even(N + s + t).  The power sums of P Q equal those of
+    the M x M grid kernel A B with
     A[j, k] = u_j W_odd(z_j) z_j^N / (1 - z_j z_k) and
     B[k, j] = u_k W_even(z_k) z_k^N / (1 - z_k z_j), up to moments
     below the rounding level (exactly, when L = M).  N may also be a
     slice start:stop of consecutive separations, which gives the stack of
     their sections, one stacked product over two zero-copy Hankel views;
-    the section seam builds its blocks this way.  table, when given, is
-    the moment table of the last separation, which the caller already
-    holds.
+    the section seam builds its blocks this way.
     """
-    if table is None:
-        table = moment_table(params, grid, N if isinstance(N, int) else N.stop - 1)
-    P, Q = _chain_section(table, N)
-    return P @ Q
+    table = moment_table(params, grid, N if isinstance(N, int) else N.stop - 1)
+    return table.odd_sections[N] @ table.even_sections[N]
 
 
 #: separations one pass of the section seam fills inside a run: a miss at
@@ -135,22 +125,25 @@ def build_kernel(params: ModelParams, grid: ContourGrid, N: int | slice,
 #: L = 38, where the stack leaves the cache
 BLOCK = 8
 
-_NOTHING = ((), ())
 
+def _extend(record: dict, table: MomentTable, N: int, n: int,
+            values: Callable[[slice], np.ndarray]) -> None:
+    """Extend record, one of the table's two, which lacks order n at N:
+    the rows of values(run) become its entries from N on, as tuples of
+    Python floats.
 
-def _run(table: MomentTable, N: int, n: int, part: int) -> slice:
-    """The separations from N on, within the pass at N, whose record holds
-    fewer than n of the part (0: power sums, 1: open chains), up to the
-    first that holds them.  The pass is the block at N when the record
-    holds N - 1, so a run of separations is being read, and N alone
-    otherwise, so a lone read pays for one section.  Every pass fills
-    such a run whole, so no entry past that first one lacks the part
-    either."""
-    record, end = table.sections, N
+    The run lies in the block N..N + BLOCK - 1 when the record holds
+    N - 1, so a run of separations is being read, and is N alone
+    otherwise, so a lone read pays for one section; it ends at the first
+    entry that already holds order n and at the table's end.  Every pass
+    fills such a run whole, so no entry past that first one lacks the
+    order either, and kept entries are neither recomputed nor shortened.
+    """
     stop = min(N + BLOCK, len(table.odd_sections)) if N - 1 in record else N + 1
-    while end < stop and len(record.get(end, _NOTHING)[part]) < n:
+    end = N + 1
+    while end < stop and len(record.get(end, ())) < n:
         end += 1
-    return slice(N, end)
+    record.update(zip(range(N, end), map(tuple, values(slice(N, end)).tolist())))
 
 
 def _open_chains(table: MomentTable, run: slice, n: int, above: bool) -> np.ndarray:
@@ -161,7 +154,7 @@ def _open_chains(table: MomentTable, run: slice, n: int, above: bool) -> np.ndar
     and v = K^(k-1) P x above, k = 1..n, with K applied as P (Q v): no
     section is built.
     """
-    P, Q = _chain_section(table, run)
+    P, Q = table.odd_sections[run], table.even_sections[run]
     ends = np.arange(run.start, run.stop)[:, None] + np.arange(table.L)
     x = table.even[ends][:, None, :]
     # v runs through K^(k-1) y below and K^(k-1) P x above
@@ -174,43 +167,36 @@ def _open_chains(table: MomentTable, run: slice, n: int, above: bool) -> np.ndar
     return -table.c * values
 
 
-def _fill(params: ModelParams, grid: ContourGrid, table: MomentTable, N: int, n: int,
-          parts: tuple[int, ...]) -> None:
-    """One batched pass over the block at N: the power sums (part 0) and
-    the open chains (part 1) asked for, to order n, of the run of
-    separations from N whose record lacks them, written to the record as
-    Python floats.  Kept entries are neither recomputed nor shortened."""
-    found = [{}, {}]
-    for part in parts:
-        run = _run(table, N, n, part)
-        if run.stop == N:
-            continue
-        if part:
-            values = _open_chains(table, run, n, params.regime is Regime.ABOVE)
-        else:
-            values = power_sums(build_kernel(params, grid, run, table), n)
-        found[part] = dict(zip(range(run.start, run.stop), values.tolist()))
-    record = table.sections
-    for S in found[0].keys() | found[1].keys():
-        kept = record.get(S, _NOTHING)
-        record[S] = tuple(tuple(new[S]) if S in new else old for new, old in zip(found, kept))
-
-
 def section_sums(params: ModelParams, grid: ContourGrid, N: int, n: int) -> tuple[float, ...]:
     """The power sums p_1..p_n of the section at separation N, as Python floats.
 
-    They are kept in the table's record under N, and since they are
-    prefix-stable, sections are built only when more are asked for than
-    the record holds (none at n = 0), a block of them at a time once
-    N - 1 is recorded; above T_c, where every entry reads both, the same
-    pass also fills the open chains.
+    They are kept in the table's record MomentTable.sums under N, and
+    since they are prefix-stable, sections are built only when more are
+    asked for than the record holds (none at n = 0), a block of them at a
+    time once N - 1 is recorded; above T_c, where every entry reads both,
+    the same miss also fills the open chains.
     """
     table = moment_table(params, grid, N)
-    sums = table.sections.get(N, _NOTHING)[0]
+    sums = table.sums.get(N, ())
     if len(sums) < n:
-        _fill(params, grid, table, N, n, (0, 1) if params.regime is Regime.ABOVE else (0,))
-        sums = table.sections[N][0]
+        _extend(table.sums, table, N, n, lambda run: power_sums(build_kernel(params, grid, run), n))
+        if params.regime is Regime.ABOVE:
+            section_chains(params, grid, N, n)
+        sums = table.sums[N]
     return sums[:n]
+
+
+def section_form_factors(params: ModelParams, grid: ContourGrid, N: int, n: int) -> list[float]:
+    """The form factors (-1)^k e_k, k = 0..n, of the section at separation N.
+
+    n may not exceed the section size L, which is checked before any power
+    sum is read; the form factors come from section_sums by Newton's
+    identities (form_factors).
+    """
+    L = moment_table(params, grid, N).L
+    if n > L:
+        raise ValueError(f"n_max={n} exceeds the matrix size {L}")
+    return form_factors(section_sums(params, grid, N, n), L)
 
 
 def section_chains(params: ModelParams, grid: ContourGrid, N: int, n: int) -> tuple[float, ...]:
@@ -221,15 +207,16 @@ def section_chains(params: ModelParams, grid: ContourGrid, N: int, n: int) -> tu
     T_c, and above it G_1 = -m_even(N - 2), one entry of the moment table,
     followed by G_(2k+1) = -c x^T K^(k-1) P x (k = 1..n).  K is applied as
     P (Q v), so no section is built.  The chains past G_1 are kept in the
-    table's record under N, next to the power sums, and a miss fills
-    those of the whole block at N once N - 1 is recorded.
+    table's record MomentTable.chains under N, and a miss fills those of
+    the whole block at N once N - 1 is recorded there.
     """
     table = moment_table(params, grid, N)
-    chains = table.sections.get(N, _NOTHING)[1]
+    above = params.regime is Regime.ABOVE
+    chains = table.chains.get(N, ())
     if len(chains) < n:
-        _fill(params, grid, table, N, n, (1,))
-        chains = table.sections[N][1]
-    if params.regime is Regime.ABOVE:
+        _extend(table.chains, table, N, n, lambda run: _open_chains(table, run, n, above))
+        chains = table.chains[N]
+    if above:
         return (-float(table.even[N - 1]),) + chains[:n]
     return chains[:n]
 

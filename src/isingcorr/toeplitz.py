@@ -8,9 +8,9 @@ contour moments, kept as one real table per grid (moment_table); every
 chain kernel section fredholm builds is a pair of basic slices of its
 strided Hankel windows, with no gather (a block of consecutive sections
 is a basic slice of the same windows seen as a stack), and the table
-carries the record of the floats each section yields
-(MomentTable.sections), which fredholm's section_sums and
-section_chains alone read and write.  The
+carries two records of the floats the sections yield, their power sums
+(MomentTable.sums) and their open chains (MomentTable.chains), which
+fredholm's section_sums and section_chains alone read and write.  The
 moments are real for real alpha on the conjugate-symmetric grid, so the
 table holds the real parts of the FFT moments; their imaginary residue
 is rounding, at most about eps max|w(z_k)|, and stays with
@@ -118,12 +118,14 @@ class MomentTable:
     gives the (count, L, L) stack of them, also with no copy.  Every
     array is read-only.
 
-    sections maps a separation N to what its section has yielded, the
-    tuples (power sums, open chains) of floats, owned by
-    fredholm.section_sums and fredholm.section_chains, which fill a
-    block of consecutive separations per miss inside a run of them: the
-    one mutable part, which lives and dies with the cached table, so
-    clear_cache empties it too.
+    sums and chains are the two records of what the sections yield: each
+    maps a separation N to a tuple of Python floats, to the highest order
+    read so far, sums the power sums of the section at N and chains the
+    open chains read from it.  fredholm.section_sums and
+    fredholm.section_chains alone fill them, a block of consecutive
+    separations per miss inside a run of them.  They are the one mutable
+    part, which lives and dies with the cached table, so clear_cache
+    empties them too.
     """
 
     odd: np.ndarray
@@ -132,7 +134,8 @@ class MomentTable:
     L: int
     odd_sections: np.ndarray
     even_sections: np.ndarray
-    sections: dict = field(default_factory=dict, repr=False, compare=False)
+    sums: dict = field(default_factory=dict, repr=False, compare=False)
+    chains: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @functools.lru_cache(maxsize=64)

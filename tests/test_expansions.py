@@ -191,6 +191,19 @@ def test_G_rejects_negative_separation(above, above_grid):
             ic.G_2n1(above, above_grid, -1, n)
 
 
+@pytest.mark.parametrize("N", [-1, -2])
+def test_per_order_readers_reject_negative_separation(below, below_grid, above, above_grid, N):
+    """Every per-order reader refuses N < 0 with one message; phi_2n and
+    f_2n1 read the section at N + 1, which is 0 at N = -1."""
+    readers = [(ic.F_2n, below, below_grid), (ic.Ftilde_2n, below, below_grid),
+               (ic.phi_2n, below, below_grid), (ic.G_2n1, above, above_grid),
+               (ic.f_2n, below, below_grid), (ic.f_2n1, above, above_grid),
+               (ic.f_from_F, below, below_grid)]
+    for reader, params, grid in readers:
+        with pytest.raises(ValueError, match=f"separation N={N} must be non-negative"):
+            reader(params, grid, N, 1)
+
+
 # ----------------------------------------------------------------------
 # form factors
 # ----------------------------------------------------------------------
@@ -284,6 +297,27 @@ def test_f_odd_far_above_critical_point():
     p = ic.direct(0.0, 1e6)
     g = ic.make_grid(p, 64)
     assert abs(ic.f_2n1(p, g, 2, 0).value) < 1e-5
+
+
+def test_form_factors_past_the_section_size_build_nothing(monkeypatch, below, below_grid,
+                                                         above, above_grid):
+    """f_2n and f_2n1 refuse an order n past the section size L before any
+    power sum is read: no section is built, and the records keep what they
+    held."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("section read for an order past the section size")
+
+    toeplitz_module.clear_cache()
+    ic.f_2n(below, below_grid, 3, 2)
+    ic.f_2n1(above, above_grid, 3, 2)
+    monkeypatch.setattr(fredholm_module, "build_kernel", forbidden)
+    monkeypatch.setattr(fredholm_module, "_open_chains", forbidden)
+    for reader, params, grid in ((ic.f_2n, below, below_grid), (ic.f_2n1, above, above_grid)):
+        table = toeplitz_module.moment_table(params, grid, 4)
+        before = (dict(table.sums), dict(table.chains))
+        with pytest.raises(ValueError, match=f"n_max={table.L + 1} exceeds the matrix size {table.L}"):
+            reader(params, grid, 3, table.L + 1)
+        assert (table.sums, table.chains) == before
 
 
 def test_f_odd_direct_limited(above, above_grid):
@@ -484,8 +518,8 @@ def test_correlation_at_order_zero_builds_no_section(monkeypatch, below, below_g
     def forbidden(*args, **kwargs):
         raise AssertionError("kernel section built at n_max=0")
 
-    monkeypatch.setattr(fredholm_module, "_chain_section", forbidden)
     monkeypatch.setattr(fredholm_module, "build_kernel", forbidden)
+    monkeypatch.setattr(fredholm_module, "_open_chains", forbidden)
     for N in (1, 4):
         for route in ("exp", "ff"):
             entry = ic.correlation(below, N, route, 0, below_grid)
@@ -516,8 +550,9 @@ def test_open_chains_alone_build_no_section(monkeypatch, below, below_grid, abov
 
 
 def test_expansions_reads_sections_through_fredholm_alone():
-    """expansions binds neither the moment table nor fredholm's section builders."""
-    for name in ("moment_table", "_chain_section", "build_kernel"):
+    """expansions binds neither the moment table, its section size nor
+    fredholm's section builders and Newton's identities."""
+    for name in ("moment_table", "section_size", "build_kernel", "form_factors"):
         assert not hasattr(expansions_module, name), name
 
 
@@ -547,6 +582,7 @@ def test_correlation_rejects_separation_below_one(monkeypatch, below, below_grid
 
     monkeypatch.setattr(expansions_module, "section_sums", forbidden)
     monkeypatch.setattr(expansions_module, "section_chains", forbidden)
+    monkeypatch.setattr(expansions_module, "section_form_factors", forbidden)
     monkeypatch.setattr(expansions_module, "det_DN", forbidden)
     monkeypatch.setattr(fredholm_module, "moment_table", forbidden)
     for params, grid in ((below, below_grid), (above, above_grid)):

@@ -9,7 +9,7 @@ from isingcorr import expansions as expansions_module
 from isingcorr import fredholm as fredholm_module
 from isingcorr import quadrature as quadrature_module
 from isingcorr import toeplitz as toeplitz_module
-from isingcorr.fredholm import _chain_section, section_chains, section_sums
+from isingcorr.fredholm import section_chains, section_sums
 from isingcorr.toeplitz import contour_moments, moment_table, section_size
 from kernel_oracle import grid_kernel, power_sums
 
@@ -322,7 +322,8 @@ def test_section_is_a_window_into_the_moment_table(params, M):
     for N in separations:
         table = moment_table(params, grid, N)
         ends = slice(N, N + table.L)
-        got = (*_chain_section(table, N), table.odd[ends], table.even[ends], table.c)
+        got = (table.odd_sections[N], table.even_sections[N], table.odd[ends], table.even[ends],
+               table.c)
         want = _gathered_section(params, grid, N)
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), N
         K = ic.build_kernel(params, grid, N)
@@ -343,7 +344,8 @@ def test_section_factors_are_read_only_views_of_the_table(alpha2):
     for N in (1, 40, 200):
         table = moment_table(params, grid, N)
         ends = slice(N, N + table.L)
-        (P, Q), x_odd, x_even = _chain_section(table, N), table.odd[ends], table.even[ends]
+        P, Q = table.odd_sections[N], table.even_sections[N]
+        x_odd, x_even = table.odd[ends], table.even[ends]
         assert P.shape == Q.shape == (table.L, table.L)
         if alpha2 == 0.9:
             assert table.L == grid.M

@@ -132,12 +132,14 @@ def _block_separations(params, M):
 
 def _read(params, grid, calls, n):
     """Read the sums and chains of (N, part) in calls to order n; return the
-    record of every separation any block filled, across the grid's tables."""
+    pair (power sums, open chains) the records hold for every separation
+    any block filled, across the grid's tables."""
     for N, part in calls:
         (section_sums, section_chains)[part](params, grid, N, n)
     tables = {id(moment_table(params, grid, N)): moment_table(params, grid, N)
               for N, _ in calls}
-    return {S: entry for table in tables.values() for S, entry in table.sections.items()}
+    return {S: (table.sums.get(S, ()), table.chains.get(S, ()))
+            for table in tables.values() for S in table.sums.keys() | table.chains.keys()}
 
 
 def _single_section(params, grid, S, n):
@@ -214,22 +216,24 @@ def test_a_miss_fills_its_block_within_the_table(below, below_grid, above, above
     for params, grid in ((below, below_grid), (above, above_grid)):
         toeplitz_module.clear_cache()
         table = moment_table(params, grid, 1)
+        above_tc = params.regime is ic.Regime.ABOVE
         section_sums(params, grid, 2, 2)
-        assert sorted(table.sections) == [2]
+        assert sorted(table.sums) == [2]
         section_sums(params, grid, 3, 2)
-        assert sorted(table.sections) == list(range(2, 3 + BLOCK))
-        kept = {S: table.sections[S] for S in (2, 4, 5)}
+        assert sorted(table.sums) == list(range(2, 3 + BLOCK))
+        kept = {S: (table.sums[S], table.chains.get(S)) for S in (2, 4, 5)}
         section_sums(params, grid, 1, 1)
         section_sums(params, grid, 4, 1)
-        assert sorted(table.sections) == list(range(1, 3 + BLOCK))
-        assert all(table.sections[S] is kept[S] for S in kept)
-        above_tc = params.regime is ic.Regime.ABOVE
-        assert all(len(table.sections[S][1]) == (2 if above_tc else 0) for S in range(2, 3 + BLOCK))
+        assert sorted(table.sums) == list(range(1, 3 + BLOCK))
+        assert all(table.sums[S] is kept[S][0] and table.chains.get(S) is kept[S][1] for S in kept)
+        # above T_c the misses of the sums filled the same open chains
+        assert sorted(table.chains) == (list(range(1, 3 + BLOCK)) if above_tc else [])
+        assert all(len(table.chains.get(S, ())) == (2 if above_tc else 0) for S in range(2, 3 + BLOCK))
         end = len(table.odd) - 2 * table.L
         section_chains(params, grid, end - 3, 3)
-        assert max(table.sections) == end - 3
+        assert max(table.chains) == end - 3
         section_chains(params, grid, end - 2, 3)
-        assert max(table.sections) == end
+        assert max(table.chains) == end
         assert moment_table(params, grid, end + 1) is not table
 
 
@@ -299,14 +303,15 @@ def test_record_holds_floats_only_and_clear_cache_empties_it(below, below_grid,
                 ic.correlation(params, N, route, 3, grid)
         open_chain = ic.phi_2n if params is below else ic.G_2n1
         open_chain(params, grid, 7, 2)
-        sections = moment_table(params, grid, 7).sections
-        assert sections
-        for sums, chains in sections.values():
-            assert type(sums) is tuple and type(chains) is tuple
-            assert all(type(v) is float for v in sums + chains), (sums, chains)
+        table = moment_table(params, grid, 7)
+        assert table.sums and table.chains
+        for values in (*table.sums.values(), *table.chains.values()):
+            assert type(values) is tuple
+            assert all(type(v) is float for v in values), values
     toeplitz_module.clear_cache()
     for params, grid in ((below, below_grid), (above, above_grid)):
-        assert moment_table(params, grid, 7).sections == {}
+        table = moment_table(params, grid, 7)
+        assert table.sums == {} and table.chains == {}
 
 
 def test_returned_terms_do_not_alias_the_record(below, below_grid, above, above_grid):
