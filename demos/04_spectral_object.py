@@ -31,7 +31,7 @@ print("vs the direct M-node grid products:")
 traces = ic.power_sums(K, 2)
 ff = ic.ff_coeffs(K, 2)
 for n in (1, 2):
-    direct = ic.f_2n(params, grid, N, n, method="direct").value
+    direct = ic.f_2n_direct(params, grid, N, n).value
     print(f"  tr(K^{n}) = {traces[n - 1].real: .12e}   f({2*n}) = {ff[n]: .12e}"
           f"   direct = {direct: .12e}   diff = {abs(ff[n] - direct):.1e}")
 

@@ -35,6 +35,8 @@ from .expansions import (
     correlation,
     f_2n,
     f_2n1,
+    f_2n1_direct,
+    f_2n_direct,
     f_from_F,
     multiplicity,
     partitions,
@@ -58,7 +60,8 @@ __all__ = [
     "SingularMatrix", "SpectralRadiusExceeded",
     "build_kernel", "cauchy_identity_residual", "chain_integral",
     "contour_integral", "correlation", "det_DN", "det_DhatN",
-    "diagonal_from_alpha2", "direct", "f_2n", "f_2n1", "f_from_F",
+    "diagonal_from_alpha2", "direct", "f_2n", "f_2n1", "f_2n1_direct",
+    "f_2n_direct", "f_from_F",
     "ff_coeffs", "fourier_coeff", "fourier_coeff_series", "from_couplings",
     "log_det_expansion", "make_grid", "multiplicity", "partitions",
     "phi_2n", "power_sums", "r_min", "refine_until", "s_hat_infinity",

@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .errors import IsingCorrError, NoConvergence
-from .expansions import correlation
+from .expansions import MAX_ORDER, correlation
 from .params import Kind, ModelParams, diagonal_from_alpha2, direct, from_couplings
 from .quadrature import DEFAULT_M, DEFAULT_M_MAX, check_M, make_grid, refine_until
 from .verify import SUITE_NAMES, run_suite
@@ -155,13 +155,13 @@ def _parse_int_list(spec: str, what: str) -> list[int]:
 
 def _check_grid(M: int, orders: int = 0, flag: str = "--M") -> tuple[int, int]:
     """(M, orders), checked before any work: make_grid's rule for M, and
-    0..3 for orders, which --order-list sets past argparse's choices."""
+    0..MAX_ORDER for orders, which --order-list sets past argparse's choices."""
     try:
         check_M(M)
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from None
-    if not 0 <= orders <= 3:
-        raise UsageError(f"orders {orders} must lie in 0..3")
+    if not 0 <= orders <= MAX_ORDER:
+        raise UsageError(f"orders {orders} must lie in 0..{MAX_ORDER}")
     return M, orders
 
 
@@ -369,7 +369,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     _add_param_flags(t)
     _add_grid_flags(t)
     t.add_argument("--N", default="1..6", help="separations, e.g. 3 or 1..6 or 1,3,5")
-    t.add_argument("--orders", type=int, default=3, choices=range(0, 4),
+    t.add_argument("--orders", type=int, default=3, choices=range(MAX_ORDER + 1),
                    help="truncation order n_max")
     t.add_argument("--routes", default="det,exp,ff",
                    help="comma list from det,exp,ff (det is added whenever an "
@@ -395,7 +395,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     _add_param_flags(s)
     _add_grid_flags(s)
     s.add_argument("--N", default="3", help="separations, e.g. 3 or 1..6")
-    s.add_argument("--orders", type=int, default=3, choices=range(0, 4))
+    s.add_argument("--orders", type=int, default=3, choices=range(MAX_ORDER + 1))
     s.add_argument("--routes", default="exp")
     s.add_argument("--M-list", dest="M_list", default=None, help="e.g. 16,32,64,128")
     s.add_argument("--order-list", dest="order_list", default=None, help="e.g. 1,2,3")

@@ -26,9 +26,14 @@ consecutive separations at once, which the entries and terms at the next
 separations then read.  Above T_c a miss of the power sums also fills
 the open chains, which every entry there reads next to them.  Each float
 becomes an ExpansionTerm(order, N, value, 0.0, SECTION) here.  The M-node
-grid products (quadrature.chain_integral, _f_2n_direct, _f_2n1_direct)
-remain as independent cross-checks; they are complex by rounding, and
-_term keeps their imaginary residue as est_error.
+grid products remain as independent cross-checks, each its own function:
+quadrature.chain_integral for the chains, f_2n_direct (n <= 2) and
+f_2n1_direct (n <= 1) for the form factors.  They are complex by
+rounding, and _term keeps their imaginary residue as est_error.
+
+Every per-order reader (F_2n, Ftilde_2n, phi_2n, G_2n1, f_2n,
+f_2n_direct, f_2n1, f_2n1_direct, f_from_F) checks its order, its
+separation N >= 0 and its regime through one gate before any work.
 
 The odd-order signs are anchored end to end against the determinant
 route (both routes must produce the same signed number), which also
@@ -57,7 +62,7 @@ from .toeplitz import det_DN
 
 
 class Method(Enum):
-    """How a term was computed; the values are the method= strings."""
+    """How a term was computed: the label every term and report carries."""
 
     SECTION = "section"            # read from the kernel section
     DIRECT = "direct"              # the M-node grid product, a cross-check
@@ -89,9 +94,16 @@ def _term(order: int, N: int, raw: complex) -> ExpansionTerm:
     return ExpansionTerm(order, N, raw.real, abs(raw.imag), Method.DIRECT)
 
 
-def _require_regime(params: ModelParams, regime: Regime, what: str) -> None:
-    if params.regime is not regime:
-        raise RegimeMismatch(f"{what} needs the {regime.value} regime")
+def _gate(params: ModelParams, N: int, n: int, first: int, regime: Regime | None = None) -> None:
+    """The one argument check of every per-order reader, made before any
+    work: the order n starts at first, the separation N is non-negative,
+    and a regime-bound term is asked for in its regime."""
+    if n < first:
+        raise ValueError(f"order n={n} must be at least {first}")
+    if N < 0:
+        raise ValueError(f"separation N={N} must be non-negative")
+    if regime is not None and params.regime is not regime:
+        raise RegimeMismatch(f"this term exists {regime.value} the critical point only")
 
 
 def _closed(sums: tuple[float, ...], N: int) -> list[ExpansionTerm]:
@@ -109,8 +121,7 @@ def F_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTer
     K is the chain kernel section at separation N, whose n-th power
     trace (fredholm.section_sums) is the closed 2n-site chain.
     """
-    if n < 1:
-        raise ValueError("closed chains start at n=1")
+    _gate(params, N, n, 1)
     return _closed(section_sums(params, grid, N, n), N)[n - 1]
 
 
@@ -121,9 +132,7 @@ def Ftilde_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> Expansi
     N and N+1, which telescopes back to the order-2n coefficient when
     summed over separations.
     """
-    if n < 1:
-        raise ValueError("closed chains start at n=1")
-    _require_regime(params, Regime.BELOW, "Ftilde_2n")
+    _gate(params, N, n, 1, Regime.BELOW)
     here, next_sep = (section_sums(params, grid, S, n)[n - 1] for S in (N, N + 1))
     return ExpansionTerm(2 * n, N, -(here - next_sep) / n, 0.0, Method.SECTION)
 
@@ -131,11 +140,7 @@ def Ftilde_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> Expansi
 def phi_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
     """Order-2n term of the determinant-ratio series: the 2n-site open chain
     with 1/z ends, a bilinear form in the section at N+1."""
-    if n < 1:
-        raise ValueError("open ratio chains start at n=1")
-    if N < 0:
-        raise ValueError(f"separation N={N} must be non-negative")
-    _require_regime(params, Regime.BELOW, "phi_2n")
+    _gate(params, N, n, 1, Regime.BELOW)
     return ExpansionTerm(2 * n, N, section_chains(params, grid, N + 1, n)[n - 1], 0.0,
                          Method.SECTION)
 
@@ -149,11 +154,7 @@ def G_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTe
     with a minus sign.  The choice is locked against the determinant
     oracle by the test suite.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if N < 0:
-        raise ValueError(f"separation N={N} must be non-negative")
-    _require_regime(params, Regime.ABOVE, "G_2n1")
+    _gate(params, N, n, 0, Regime.ABOVE)
     return ExpansionTerm(2 * n + 1, N, section_chains(params, grid, N + 1, n)[n], 0.0,
                          Method.SECTION)
 
@@ -162,8 +163,26 @@ def G_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTe
 # form factors
 # ----------------------------------------------------------------------
 
-def _f_2n_direct(params: ModelParams, grid: ContourGrid, N: int, n: int) -> complex:
-    """Plain grid-product evaluation of the squared-determinant integrand."""
+def f_2n(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
+    """Order-2n form factor, read off the spectrum of the kernel section
+    by Newton's identities on its power traces; f at order 0 is 1 by
+    definition."""
+    _gate(params, N, n, 0)
+    if n == 0:
+        return ExpansionTerm(0, N, 1.0, 0.0, Method.SECTION)
+    return ExpansionTerm(2 * n, N, section_form_factors(params, grid, N, n)[n], 0.0,
+                         Method.SECTION)
+
+
+def f_2n_direct(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
+    """Order-2n form factor as the plain M-node grid product of the
+    squared-determinant integrand (n <= 2), an independent cross-check of
+    f_2n; est_error is the imaginary residue of the product."""
+    _gate(params, N, n, 0)
+    if n == 0:
+        return ExpansionTerm(0, N, 1.0, 0.0, Method.DIRECT)
+    if n > 2:
+        raise MethodUnavailable("direct grid products are limited to n <= 2")
     ks, suffix = KernelSet(params), "_hat" if params.regime is Regime.ABOVE else ""
     z = grid.nodes
     zn = z ** N
@@ -171,7 +190,7 @@ def _f_2n_direct(params: ModelParams, grid: ContourGrid, N: int, n: int) -> comp
     pe = grid.weights * getattr(ks, "pp" + suffix)(z) * zn
     C2 = grid.cauchy_matrix() ** 2
     if n == 1:
-        return -complex(qo @ C2 @ pe)
+        return _term(2, N, -complex(qo @ C2 @ pe))
     # n == 2: sum over odd pair (a, c) and even pair (b, d) of
     # qo_a qo_c pe_b pe_d C2_ab C2_ad C2_cb C2_cd (z_a - z_c)^2 (z_b - z_d)^2
     vde = (z[:, None] - z[None, :]) ** 2
@@ -180,49 +199,7 @@ def _f_2n_direct(params: ModelParams, grid: ContourGrid, N: int, n: int) -> comp
         X = C2 * (pe * C2[a])[None, :]       # X[c, b] = C2[c,b] pe[b] C2[a,b]
         inner = np.einsum("cd,cd->c", X @ vde, X)
         total += qo[a] * np.sum(qo * (z[a] - z) ** 2 * inner)
-    return total / 4.0
-
-
-def f_2n(params: ModelParams, grid: ContourGrid, N: int, n: int,
-         method: Method | str = "section") -> ExpansionTerm:
-    """Order-2n form factor.
-
-    method "section" (the default) applies Newton's identities to the
-    power traces of the kernel section, i.e. reads the term off its
-    spectrum without computing it; "direct" evaluates the 2n-fold grid
-    product (n <= 2 only) as an independent cross-check.  f at order 0
-    is 1 by definition, labelled with the method asked for.
-    """
-    method = Method(method)
-    if method is Method.COMBINATION:
-        raise ValueError("f_2n takes method 'section' or 'direct'")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return ExpansionTerm(order=0, N=N, value=1.0, est_error=0.0, method=method)
-    if method is Method.DIRECT:
-        if n > 2:
-            raise MethodUnavailable("direct grid products are limited to n <= 2")
-        return _term(2 * n, N, _f_2n_direct(params, grid, N, n))
-    return ExpansionTerm(2 * n, N, section_form_factors(params, grid, N, n)[n], 0.0,
-                         Method.SECTION)
-
-
-def _f_2n1_direct(params: ModelParams, grid: ContourGrid, N: int, n: int) -> complex:
-    """Grid-product evaluation for the first odd orders (n <= 1).
-
-    Signs follow the same determinant-anchored convention as G_2n1.
-    """
-    ks = KernelSet(params)
-    z = grid.nodes
-    po = grid.weights * ks.pp_hat(z) * z ** (N - 1)
-    if n == 0:
-        return -complex(np.sum(po))
-    qe = grid.weights * ks.qq_hat(z) * z ** (N + 1)
-    C2 = grid.cauchy_matrix() ** 2
-    vdo = (z[:, None] - z[None, :]) ** 2
-    total = np.einsum("a,b,c,ab,cb,ac->", po, qe, po, C2, C2, vdo, optimize=True)
-    return complex(total) / 2.0
+    return _term(4, N, total / 4.0)
 
 
 def _odd_form_factors(chains: tuple[float, ...], hat_ff: list[float],
@@ -238,29 +215,32 @@ def _odd_form_factors(chains: tuple[float, ...], hat_ff: list[float],
             for n in range(len(chains))]
 
 
-def f_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int,
-          method: Method | str = "combination") -> ExpansionTerm:
-    """Order-(2n+1) form factor, above the critical point.
-
-    The default "combination" assembles it from the open-chain terms and
-    the hat form factors at separation N+1; "direct" evaluates the
-    (2n+1)-fold grid product and exists for n <= 1 as an independent
-    cross-check.
-    """
-    method = Method(method)
-    if method is Method.SECTION:
-        raise ValueError("f_2n1 takes method 'combination' or 'direct'")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if N < 0:
-        raise ValueError(f"separation N={N} must be non-negative")
-    _require_regime(params, Regime.ABOVE, "f_2n1")
-    if method is Method.DIRECT:
-        if n > 1:
-            raise MethodUnavailable("direct grid products are limited to n <= 1")
-        return _term(2 * n + 1, N, _f_2n1_direct(params, grid, N, n))
+def f_2n1(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
+    """Order-(2n+1) form factor, above the critical point, assembled from
+    the open-chain terms and the hat form factors at separation N+1."""
+    _gate(params, N, n, 0, Regime.ABOVE)
     form = section_form_factors(params, grid, N + 1, n)
     return _odd_form_factors(section_chains(params, grid, N + 1, n), form, N)[n]
+
+
+def f_2n1_direct(params: ModelParams, grid: ContourGrid, N: int, n: int) -> ExpansionTerm:
+    """Order-(2n+1) form factor as the plain M-node grid product (n <= 1),
+    an independent cross-check of f_2n1; est_error is the imaginary
+    residue.  Signs follow the same determinant-anchored convention as
+    G_2n1."""
+    _gate(params, N, n, 0, Regime.ABOVE)
+    if n > 1:
+        raise MethodUnavailable("direct grid products are limited to n <= 1")
+    ks = KernelSet(params)
+    z = grid.nodes
+    po = grid.weights * ks.pp_hat(z) * z ** (N - 1)
+    if n == 0:
+        return _term(1, N, -complex(np.sum(po)))
+    qe = grid.weights * ks.qq_hat(z) * z ** (N + 1)
+    C2 = grid.cauchy_matrix() ** 2
+    vdo = (z[:, None] - z[None, :]) ** 2
+    total = np.einsum("a,b,c,ab,cb,ac->", po, qe, po, C2, C2, vdo, optimize=True)
+    return _term(3, N, complex(total) / 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -318,8 +298,9 @@ def f_from_F(params: ModelParams, grid: ContourGrid, N: int, n: int) -> Expansio
     Exponentiating the chain series and collecting equal total orders
     gives f(2n) = sum over partitions of n of prod (1/m_i!) F(2n_i)^m_i.
     """
+    _gate(params, N, n, 0)
     if n == 0:
-        return ExpansionTerm(order=0, N=N, value=1.0, est_error=0.0, method=Method.COMBINATION)
+        return ExpansionTerm(0, N, 1.0, 0.0, Method.COMBINATION)
     F = [t.value for t in _closed(section_sums(params, grid, N, n), N)]
     total = 0.0
     for p in partitions(n):
@@ -415,6 +396,9 @@ def cauchy_identity_residual(odd_points, even_points, variant: str = "below") ->
 
 _EPS = math.ulp(1.0)
 
+#: the highest truncation order n_max of a correlation
+MAX_ORDER = 3
+
 
 class Route(Enum):
     DETERMINANT = "det"
@@ -460,8 +444,8 @@ def correlation(params: ModelParams, N: int, route: Route | str, n_max: int = 3,
     if N < 1:
         raise ValueError(f"separation N={N} must be at least 1")
     route = Route(route)
-    if not 0 <= n_max <= 3:
-        raise ValueError("n_max is limited to 0..3")
+    if not 0 <= n_max <= MAX_ORDER:
+        raise ValueError(f"n_max is limited to 0..{MAX_ORDER}")
     if grid is None:
         grid = make_grid(params)
     below = params.regime is Regime.BELOW

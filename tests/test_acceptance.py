@@ -126,7 +126,7 @@ def test_criterion_6_spectral_route():
             K = ic.build_kernel(params, grid, N)
             f = ic.ff_coeffs(K, 2)
             for n in (1, 2):
-                direct = ic.f_2n(params, grid, N, n, method="direct").value
+                direct = ic.f_2n_direct(params, grid, N, n).value
                 worst_ff = max(worst_ff, abs(f[n] - direct))
             spectral = ic.s_infinity(params) * math.exp(ic.log_det_expansion(K))
             worst_det = max(worst_det, abs(spectral - ic.det_DN(params, N, grid)))

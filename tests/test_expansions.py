@@ -191,17 +191,42 @@ def test_G_rejects_negative_separation(above, above_grid):
             ic.G_2n1(above, above_grid, -1, n)
 
 
+#: every per-order reader, the params and grid of its own regime, its first
+#: order, and whether it exists in that regime only
+def _readers(below, below_grid, above, above_grid):
+    return [(ic.F_2n, below, below_grid, 1, False),
+            (ic.Ftilde_2n, below, below_grid, 1, True),
+            (ic.phi_2n, below, below_grid, 1, True),
+            (ic.G_2n1, above, above_grid, 0, True),
+            (ic.f_2n, below, below_grid, 0, False),
+            (ic.f_2n_direct, below, below_grid, 0, False),
+            (ic.f_2n1, above, above_grid, 0, True),
+            (ic.f_2n1_direct, above, above_grid, 0, True),
+            (ic.f_from_F, below, below_grid, 0, False)]
+
+
 @pytest.mark.parametrize("N", [-1, -2])
 def test_per_order_readers_reject_negative_separation(below, below_grid, above, above_grid, N):
-    """Every per-order reader refuses N < 0 with one message; phi_2n and
-    f_2n1 read the section at N + 1, which is 0 at N = -1."""
-    readers = [(ic.F_2n, below, below_grid), (ic.Ftilde_2n, below, below_grid),
-               (ic.phi_2n, below, below_grid), (ic.G_2n1, above, above_grid),
-               (ic.f_2n, below, below_grid), (ic.f_2n1, above, above_grid),
-               (ic.f_from_F, below, below_grid)]
-    for reader, params, grid in readers:
-        with pytest.raises(ValueError, match=f"separation N={N} must be non-negative"):
-            reader(params, grid, N, 1)
+    """Every per-order reader checks its arguments through one gate before
+    any work: N < 0 is refused with one message at its first order
+    (where f_2n and f_from_F return 1 without a section) and at n = 1
+    (phi_2n and f_2n1 read the section at N + 1, which is 0 at N = -1);
+    an order below the first is a ValueError, and a regime-bound reader
+    refuses the other regime."""
+    other = {id(below): (above, above_grid), id(above): (below, below_grid)}
+    for reader, params, grid, first, bound in _readers(below, below_grid, above, above_grid):
+        for n in (first, 1):
+            with pytest.raises(ValueError, match=f"separation N={N} must be non-negative"):
+                reader(params, grid, N, n)
+        with pytest.raises(ValueError):
+            reader(params, grid, 2, first - 1)
+        if bound:
+            with pytest.raises(ic.RegimeMismatch):
+                reader(*other[id(params)], 2, 1)
+    with pytest.raises(ic.MethodUnavailable):
+        ic.f_2n_direct(below, below_grid, 2, 3)
+    with pytest.raises(ic.MethodUnavailable):
+        ic.f_2n1_direct(above, above_grid, 2, 2)
 
 
 # ----------------------------------------------------------------------
@@ -214,14 +239,14 @@ def test_f_order_zero_is_one(below, below_grid):
 
 def test_f2_equals_F2(below, below_grid):
     for N in (1, 2, 3):
-        f = ic.f_2n(below, below_grid, N, 1, method="direct").value
+        f = ic.f_2n_direct(below, below_grid, N, 1).value
         F = ic.F_2n(below, below_grid, N, 1).value
         assert abs(f - F) < 1e-12
 
 
 def test_f4_from_partition_relation(below, below_grid):
     for N in (1, 2):
-        f = ic.f_2n(below, below_grid, N, 2, method="direct").value
+        f = ic.f_2n_direct(below, below_grid, N, 2).value
         F2 = ic.F_2n(below, below_grid, N, 1).value
         F4 = ic.F_2n(below, below_grid, N, 2).value
         assert abs(f - (F4 + F2 ** 2 / 2.0)) < 1e-11
@@ -230,52 +255,44 @@ def test_f4_from_partition_relation(below, below_grid):
 def test_f_direct_vs_section(below, below_grid, above, above_grid):
     for params, grid in ((below, below_grid), (above, above_grid)):
         for n in (1, 2):
-            d = ic.f_2n(params, grid, 2, n, method="direct")
-            e = ic.f_2n(params, grid, 2, n, method="section")
+            d = ic.f_2n_direct(params, grid, 2, n)
+            e = ic.f_2n(params, grid, 2, n)
             assert abs(d.value - e.value) < 1e-10
             assert d.method is Method.DIRECT and e.method is Method.SECTION
 
 
 def test_f_default_is_section(below, below_grid, above, above_grid):
-    """Without a method, f_2n reads the kernel section; "direct" is opt-in."""
+    """f_2n reads the kernel section; the grid product is f_2n_direct."""
     for params, grid in ((below, below_grid), (above, above_grid)):
         for n in range(4):
-            default = ic.f_2n(params, grid, 2, n)
-            section = ic.f_2n(params, grid, 2, n, method="section")
-            assert default == section
-            assert default.method is Method.SECTION
-
-
-def test_method_accepts_member_or_string(below, below_grid, above, above_grid):
-    for method in ("section", "direct"):
-        assert ic.f_2n(below, below_grid, 2, 1, method=method) == \
-            ic.f_2n(below, below_grid, 2, 1, method=Method(method))
-    for method in ("combination", "direct"):
-        assert ic.f_2n1(above, above_grid, 2, 1, method=method) == \
-            ic.f_2n1(above, above_grid, 2, 1, method=Method(method))
+            term = ic.f_2n(params, grid, 2, n)
+            assert term == (2 * n, 2, fredholm_module.section_form_factors(params, grid, 2, n)[n],
+                            0.0, Method.SECTION)
 
 
 def test_f_order_zero_carries_the_requested_label(below, below_grid):
-    for method in ("section", "direct"):
-        term = ic.f_2n(below, below_grid, 2, 0, method=method)
-        assert (term.value, term.method) == (1.0, Method(method))
+    for reader, method in ((ic.f_2n, Method.SECTION), (ic.f_2n_direct, Method.DIRECT)):
+        term = reader(below, below_grid, 2, 0)
+        assert (term.value, term.method) == (1.0, method)
 
 
 @pytest.mark.parametrize("method", ["eigen", "bogus", None, "combination", Method.COMBINATION])
 def test_f_2n_rejects_unknown_method(below, below_grid, method):
-    with pytest.raises(ValueError):
+    """f_2n takes no method= selector; its grid product is f_2n_direct."""
+    with pytest.raises(TypeError):
         ic.f_2n(below, below_grid, 2, 1, method=method)
 
 
 @pytest.mark.parametrize("method", ["eigen", "bogus", "section", Method.SECTION])
 def test_f_2n1_rejects_unknown_method(above, above_grid, method):
-    with pytest.raises(ValueError):
+    """f_2n1 takes no method= selector; its grid product is f_2n1_direct."""
+    with pytest.raises(TypeError):
         ic.f_2n1(above, above_grid, 2, 1, method=method)
 
 
 def test_f_direct_limited(below, below_grid):
     with pytest.raises(ic.MethodUnavailable):
-        ic.f_2n(below, below_grid, 1, 3, method="direct")
+        ic.f_2n_direct(below, below_grid, 1, 3)
 
 
 def test_f_odd_order_zero_equals_G1(above, above_grid):
@@ -288,8 +305,8 @@ def test_f_odd_order_zero_equals_G1(above, above_grid):
 
 def test_f_odd_combination_vs_direct(above, above_grid):
     for N in (1, 2):
-        comb = ic.f_2n1(above, above_grid, N, 1, method="combination").value
-        direct = ic.f_2n1(above, above_grid, N, 1, method="direct").value
+        comb = ic.f_2n1(above, above_grid, N, 1).value
+        direct = ic.f_2n1_direct(above, above_grid, N, 1).value
         assert abs(comb - direct) < 1e-10
 
 
@@ -322,7 +339,7 @@ def test_form_factors_past_the_section_size_build_nothing(monkeypatch, below, be
 
 def test_f_odd_direct_limited(above, above_grid):
     with pytest.raises(ic.MethodUnavailable):
-        ic.f_2n1(above, above_grid, 1, 2, method="direct")
+        ic.f_2n1_direct(above, above_grid, 1, 2)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import isingcorr as ic
+from isingcorr import KernelSet
 from isingcorr import expansions as expansions_module
 from isingcorr import fredholm as fredholm_module
 from isingcorr import quadrature as quadrature_module
@@ -68,7 +69,7 @@ def test_ff_first_coefficient_is_minus_trace(below, below_grid):
     K = ic.build_kernel(below, below_grid, 2)
     ff = ic.ff_coeffs(K, 1)
     assert ff[1] == pytest.approx(-ic.power_sums(K, 1)[0].real, abs=1e-15)
-    direct = ic.f_2n(below, below_grid, 2, 1, method="direct").value
+    direct = ic.f_2n_direct(below, below_grid, 2, 1).value
     assert abs(ff[1] - direct) < 1e-11
 
 
@@ -130,8 +131,12 @@ def test_section_is_real(below, below_grid, above, above_grid):
             for t in ic.correlation(params, 2, route, 3, grid).terms:
                 assert t.est_error == 0.0
                 assert type(t.value) is float and type(t.est_error) is float, t
-    raw = expansions_module._f_2n_direct(below, below_grid, 2, 1)
-    term = ic.f_2n(below, below_grid, 2, 1, method="direct")
+    # the order-2 grid product, as f_2n_direct forms it
+    ks, z = KernelSet(below), below_grid.nodes
+    qo = below_grid.weights * ks.qq(z) * z ** 2
+    pe = below_grid.weights * ks.pp(z) * z ** 2
+    raw = -complex(qo @ below_grid.cauchy_matrix() ** 2 @ pe)
+    term = ic.f_2n_direct(below, below_grid, 2, 1)
     assert term.est_error == abs(raw.imag) and type(term.est_error) is float
 
 
