@@ -191,20 +191,6 @@ def test_G_rejects_negative_separation(above, above_grid):
             ic.G_2n1(above, above_grid, -1, n)
 
 
-#: every per-order reader, the params and grid of its own regime, its first
-#: order, and whether it exists in that regime only
-def _readers(below, below_grid, above, above_grid):
-    return [(ic.F_2n, below, below_grid, 1, False),
-            (ic.Ftilde_2n, below, below_grid, 1, True),
-            (ic.phi_2n, below, below_grid, 1, True),
-            (ic.G_2n1, above, above_grid, 0, True),
-            (ic.f_2n, below, below_grid, 0, False),
-            (ic.f_2n_direct, below, below_grid, 0, False),
-            (ic.f_2n1, above, above_grid, 0, True),
-            (ic.f_2n1_direct, above, above_grid, 0, True),
-            (ic.f_from_F, below, below_grid, 0, False)]
-
-
 @pytest.mark.parametrize("N", [-1, -2])
 def test_per_order_readers_reject_negative_separation(below, below_grid, above, above_grid, N):
     """Every per-order reader checks its arguments through one gate before
@@ -213,16 +199,21 @@ def test_per_order_readers_reject_negative_separation(below, below_grid, above, 
     (phi_2n and f_2n1 read the section at N + 1, which is 0 at N = -1);
     an order below the first is a ValueError, and a regime-bound reader
     refuses the other regime."""
-    other = {id(below): (above, above_grid), id(above): (below, below_grid)}
-    for reader, params, grid, first, bound in _readers(below, below_grid, above, above_grid):
+    B, A = (below, below_grid), (above, above_grid)
+    # reader, its regime, its first order, and the other regime when the
+    # term exists in one regime only
+    readers = [(ic.F_2n, B, 1, None), (ic.Ftilde_2n, B, 1, A), (ic.phi_2n, B, 1, A),
+               (ic.G_2n1, A, 0, B), (ic.f_2n, B, 0, None), (ic.f_2n_direct, B, 0, None),
+               (ic.f_2n1, A, 0, B), (ic.f_2n1_direct, A, 0, B), (ic.f_from_F, B, 0, None)]
+    for reader, (params, grid), first, other in readers:
         for n in (first, 1):
             with pytest.raises(ValueError, match=f"separation N={N} must be non-negative"):
                 reader(params, grid, N, n)
         with pytest.raises(ValueError):
             reader(params, grid, 2, first - 1)
-        if bound:
+        if other:
             with pytest.raises(ic.RegimeMismatch):
-                reader(*other[id(params)], 2, 1)
+                reader(*other, 2, 1)
     with pytest.raises(ic.MethodUnavailable):
         ic.f_2n_direct(below, below_grid, 2, 3)
     with pytest.raises(ic.MethodUnavailable):
